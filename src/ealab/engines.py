@@ -1,4 +1,4 @@
-"""The four algorithm variants with full trajectory instrumentation.
+"""The three algorithm variants with full trajectory instrumentation.
 
 Variants: elitist plus-selection (best mu of mu+lambda), comma-selection
 (best mu of the lambda offspring, needs lambda >= mu), and the fair-parent
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .bounds import master_bound
-from .genotype import BitString, ConfigError
+from .genotype import BitString, ConfigError, flip_mask
 from .rng import _sampler, mix64
 
 #: budget applied when EaConfig.max_iterations is None, in multiples of the
@@ -133,27 +133,14 @@ def _make_offspring(rng, masks, n, lam, sampler, fair):
     """
     cum = sampler._cum
     rr = rng.random
-    sample = rng.sample
     randrange = rng.randrange
-    positions = range(n)
-    full = (1 << n) - 1
     mu = len(masks)
     off_masks = []
     parent_idx = []
     for k in range(lam):
         i = k if fair else randrange(mu)
-        parent = masks[i]
         flips = bisect_right(cum, rr())
-        if flips == 0:
-            child = parent
-        elif flips == n:
-            child = parent ^ full
-        else:
-            m = 0
-            for pos in sample(positions, flips):
-                m |= 1 << pos
-            child = parent ^ m
-        off_masks.append(child)
+        off_masks.append(masks[i] ^ flip_mask(rng, n, flips) if flips else masks[i])
         parent_idx.append(i)
     return off_masks, parent_idx
 
@@ -236,9 +223,6 @@ def _run_one_plus_one(rng, f, n, sampler, budget, offspring_first,
     # path (accept offspring when strictly better, ties per policy)
     cum = sampler._cum
     rr = rng.random
-    sample = rng.sample
-    positions = range(n)
-    full = (1 << n) - 1
     value = f.value
     thr = f.opt_threshold
     append_f = ftrace.append
@@ -246,15 +230,7 @@ def _run_one_plus_one(rng, f, n, sampler, budget, offspring_first,
     t = 0
     while t < budget:
         flips = bisect_right(cum, rr())
-        if flips == 0:
-            child = mask
-        elif flips == n:
-            child = mask ^ full
-        else:
-            m = 0
-            for pos in sample(positions, flips):
-                m |= 1 << pos
-            child = mask ^ m
+        child = mask ^ flip_mask(rng, n, flips) if flips else mask
         cf = value(child)
         t += 1
         if cf > fit or (cf == fit and (offspring_first or rr() < 0.5)):

@@ -10,6 +10,7 @@ boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ceil, log
 
 from .rng import _sampler
 
@@ -175,6 +176,30 @@ def is_optimal(f, x: BitString) -> bool:
     return f.is_opt_mask(x.mask)
 
 
+def flip_mask(rng, n: int, k: int) -> int:
+    """XOR mask of k distinct positions drawn uniformly from range(n).
+
+    Draws exactly what ``rng.sample(range(n), k)`` draws, except that k == n
+    gives the full mask without drawing. Where sample would keep its picks in
+    a set (n above its setsize, copied from CPython), they are kept in the
+    mask instead: the same randrange(n) draws, redrawn on repeats.
+    """
+    if k == n:
+        return (1 << n) - 1
+    randrange = rng.randrange
+    if k == 1:  # one randrange(n) draw in both of sample's strategies
+        return 1 << randrange(n)
+    if n <= 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):
+        return sum(1 << pos for pos in rng.sample(range(n), k))
+    m = 0
+    for _ in range(k):
+        bit = 1 << randrange(n)
+        while m & bit:
+            bit = 1 << randrange(n)
+        m |= bit
+    return m
+
+
 def mutate_mask(mask: int, n: int, p: float, rng) -> int:
     """Standard-bit mutation on a raw mask: each bit flips independently
     with probability p.
@@ -183,14 +208,7 @@ def mutate_mask(mask: int, n: int, p: float, rng) -> int:
     subset of positions, which has exactly the same distribution.
     """
     k = _sampler(n, p).draw(rng)
-    if k == 0:
-        return mask
-    if k == n:
-        return mask ^ ((1 << n) - 1)
-    flips = 0
-    for pos in rng.sample(range(n), k):
-        flips |= 1 << pos
-    return mask ^ flips
+    return mask ^ flip_mask(rng, n, k) if k else mask
 
 
 def mutate(x: BitString, p: float, rng) -> BitString:

@@ -15,8 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 
-from scipy.stats import mannwhitneyu
-
 from .bounds import master_bound
 from .engines import EaConfig, TiePolicy, Variant, run_batch
 from .genotype import ConfigError, make_fitness
@@ -130,9 +128,10 @@ def summarize_runs(results) -> SampleStats:
 
 def run_cell(config: EaConfig, f, replicates: int,
              workers: int | None = None) -> ExperimentRow:
-    """Measure one configuration and format it as a table row."""
+    """Measure one configuration and format it as a table row; the master
+    bound is only defined for n >= 2, so smaller n raise ConfigError."""
+    bound = master_bound(config.n, config.mu, config.lam).total
     stats = summarize_runs(run_batch(config, f, replicates, workers))
-    bound = master_bound(max(config.n, 2), config.mu, config.lam).total
     return _stats_row(config.n, config.mu, config.lam, config.variant,
                       replicates, stats, bound)
 
@@ -147,7 +146,7 @@ def sweep(spec: SweepSpec, workers: int | None = None) -> ExperimentTable:
         cell_seed = mix64(spec.seed, idx)
         try:
             f = make_fitness(spec.fitness, n, k=spec.k)
-            bound = master_bound(max(n, 2), mu, lam).total
+            bound = master_bound(n, mu, lam).total
             budget = int(math.ceil(spec.budget_mult * bound))
             config = EaConfig(n, mu, lam, spec.variant, spec.c,
                               spec.tie_policy, budget, cell_seed)
@@ -204,6 +203,14 @@ class DominanceReport:
     pooled_se: float
     u_statistic: float
     p_value: float
+
+
+def mannwhitneyu(x, y, alternative):
+    """scipy's Mann-Whitney U test, (statistic, p-value). scipy is imported
+    here, not at module level, because it is most of ealab's import time and
+    only dominance comparisons need it."""
+    from scipy.stats import mannwhitneyu as test
+    return test(x, y, alternative=alternative)
 
 
 def compare_dominance(config_a: EaConfig, config_b: EaConfig, f,
@@ -273,10 +280,19 @@ def emit(table: ExperimentTable, fmt: str = "csv") -> bytes:
     raise ConfigError(f"unknown table format {fmt!r}")
 
 
+def _field(record: dict, key: str, kind):
+    if key not in record:
+        raise ConfigError(f"missing field {key!r}")
+    try:
+        return kind(record[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"field {key!r} is not a number: {record[key]!r}") from None
+
+
 def _row_from_record(record: dict, stored_extras: bool) -> ExperimentRow:
-    mean = float(record["mean_T"])
-    q10 = float(record["q10"])
-    q90 = float(record["q90"])
+    mean = _field(record, "mean_T", float)
+    q10 = _field(record, "q10", float)
+    q90 = _field(record, "q90", float)
     if stored_extras:
         skew = bool(record.get("skew_warned", False))
         error = record.get("error")
@@ -284,20 +300,40 @@ def _row_from_record(record: dict, stored_extras: bool) -> ExperimentRow:
         skew = _skew_warned(mean, q10, q90)
         error = None
     return ExperimentRow(
-        n=int(record["n"]), mu=int(record["mu"]), lam=int(record["lambda"]),
-        variant=str(record["variant"]), replicates=int(record["replicates"]),
-        mean_T=mean, stderr_T=float(record["stderr_T"]),
-        median_T=float(record["median_T"]), q10=q10, q90=q90,
-        exhausted=int(record["exhausted"]),
-        bound_total=float(record["bound_total"]), ratio=float(record["ratio"]),
+        n=_field(record, "n", int), mu=_field(record, "mu", int),
+        lam=_field(record, "lambda", int), variant=_field(record, "variant", str),
+        replicates=_field(record, "replicates", int),
+        mean_T=mean, stderr_T=_field(record, "stderr_T", float),
+        median_T=_field(record, "median_T", float), q10=q10, q90=q90,
+        exhausted=_field(record, "exhausted", int),
+        bound_total=_field(record, "bound_total", float),
+        ratio=_field(record, "ratio", float),
         skew_warned=skew, error=error)
+
+
+def _parse_rows(records, stored_extras: bool) -> ExperimentTable:
+    rows = []
+    for k, record in enumerate(records, 1):
+        try:
+            rows.append(_row_from_record(record, stored_extras))
+        except ConfigError as exc:
+            raise ConfigError(f"table row {k}: {exc}") from None
+    return ExperimentTable(tuple(rows))
 
 
 def parse_table(data, fmt: str = "csv") -> ExperimentTable:
     """Inverse of emit for both formats. CSV does not carry the JSON-only
-    extras, so skew_warned is recomputed and error rows come back as None."""
+    extras, so skew_warned is recomputed and error rows come back as None.
+
+    Raises ConfigError on anything emit would not have written: a wrong
+    header, a CSV row with too few or too many fields, a missing field or a
+    field that does not parse as its number type.
+    """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"table is not UTF-8: {exc}") from None
     fmt = fmt.lower()
     if fmt == "csv":
         reader = csv.reader(io.StringIO(data))
@@ -307,11 +343,19 @@ def parse_table(data, fmt: str = "csv") -> ExperimentTable:
             raise ConfigError("empty table: missing CSV header") from None
         if header != list(CSV_COLUMNS):
             raise ConfigError(f"unexpected CSV header {header!r}")
-        rows = [_row_from_record(dict(zip(CSV_COLUMNS, line)), False)
-                for line in reader if line]
-        return ExperimentTable(tuple(rows))
+        lines = [line for line in reader if line]
+        for k, line in enumerate(lines, 1):
+            if len(line) != len(CSV_COLUMNS):
+                raise ConfigError(f"table row {k}: {len(line)} fields, "
+                                  f"expected {len(CSV_COLUMNS)}")
+        return _parse_rows((dict(zip(CSV_COLUMNS, line)) for line in lines), False)
     if fmt == "json":
-        payload = json.loads(data)
-        rows = [_row_from_record(rec, True) for rec in payload["rows"]]
-        return ExperimentTable(tuple(rows))
+        try:
+            payload = json.loads(data)
+        except ValueError as exc:
+            raise ConfigError(f"table is not valid JSON: {exc}") from None
+        records = payload.get("rows") if isinstance(payload, dict) else None
+        if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+            raise ConfigError("JSON table needs a \"rows\" list of objects")
+        return _parse_rows(records, True)
     raise ConfigError(f"unknown table format {fmt!r}")

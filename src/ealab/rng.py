@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -29,11 +30,18 @@ def mix64(a: int, b: int) -> int:
     return z ^ (z >> 31)
 
 
+#: the upper tail is dropped once the mass left beyond the table is below this
+TAIL_MASS = 2.0 ** -60
+
+
 class BinomialSampler:
     """Inverse-CDF sampler for Binomial(n, p), built once and reused.
 
-    The cumulative table is forced to end at 1.0 so a uniform draw can never
-    fall off the end.
+    ``_cum[k]`` is Pr(X <= k), indexed from k = 0. The pmf is evaluated in
+    log space at the mode and extended outwards by the ratio recurrence, so
+    no intermediate overflows at any n. The table stops once the upper tail
+    left out has mass below TAIL_MASS, and its last entry is forced to 1.0 so
+    a uniform draw can never fall off the end.
     """
 
     def __init__(self, n, p):
@@ -43,12 +51,36 @@ class BinomialSampler:
             raise ValueError("p must be in [0, 1]")
         self.n = n
         self.p = p
-        q = 1.0 - p
-        cum = []
-        acc = 0.0
-        for k in range(n + 1):
-            acc += math.comb(n, k) * (p ** k) * (q ** (n - k))
-            cum.append(acc)
+        if p == 0.0:
+            self._cum = [1.0]
+            return
+        if p == 1.0:
+            self._cum = [0.0] * n + [1.0]
+            return
+        r = p / (1.0 - p)
+        mode = min(n, int((n + 1) * p))
+        # log C(n, mode) as a sum of small logs; the lgamma form would lose an
+        # ulp of lgamma(n + 1) to cancellation, a relative 4e-10 at n = 10^5
+        log_comb = math.fsum(math.log((n - i) / (i + 1)) for i in range(mode))
+        top = math.exp(log_comb + mode * math.log(p) + (n - mode) * math.log1p(-p))
+        pmf = [0.0] * (mode + 1)
+        pmf[mode] = term = top
+        for k in range(mode, 0, -1):
+            term *= k / ((n - k + 1) * r)
+            if term == 0.0:
+                break
+            pmf[k - 1] = term
+        term = top
+        for k in range(mode, n):
+            # past the mode the ratio pmf(k+1)/pmf(k) only falls, so the mass
+            # beyond k is at most term * ratio / (1 - ratio)
+            ratio = (n - k) / (k + 1) * r
+            if ratio < 1.0 and term * ratio < TAIL_MASS * (1.0 - ratio):
+                break
+            term *= ratio
+            pmf.append(term)
+        # rounding can carry the running sum a hair past 1.0 before the end
+        cum = [min(c, 1.0) for c in accumulate(pmf)]
         cum[-1] = 1.0
         self._cum = cum
 

@@ -8,7 +8,8 @@ of fillers. "Fit" means fitness >= i, except in the degenerate i = 0
 construction where a strictly worse filler is impossible and every string is
 trivially at fitness >= 0; there the j1 designated members carry a marker
 that offspring inherit from their parent, and the marked lineage count plays
-the role of the fit count.
+the role of the fit count. A marker run whose lineage dies out is censored
+at once rather than stepped to the cap.
 
 The copy-only process is simulated at the level of counts. Its law depends
 only on the number of desired members, so this is exact, not an approximation.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from .bounds import takeover_bound_general
 from .engines import EaConfig, EvolutionState, Variant, resolve_budget
 from .genotype import ConfigError, MultiOptOneMax, OneMax, UniqueOptGeneric
-from .rng import BinomialSampler, mix64
+from .rng import _sampler, mix64
 from .stats import SampleStats, summarize
 
 
@@ -96,8 +97,9 @@ def measure_takeover(spec: TakeoverSpec) -> SampleStats:
 
     For i >= 1 the fit count is non-decreasing under plus-selection, so the
     safety cap is never binding in practice; in the i = 0 marker construction
-    the marked lineage competes on equal terms and can die out, so capped
-    runs are censored there.
+    the marked lineage competes on equal terms and can die out. Such a run is
+    censored as soon as its last marked member is gone, since no later step
+    can bring the marker back; it counts as exhausted, as a capped run would.
     """
     spec.validate()
     cap = _takeover_cap(spec)
@@ -140,8 +142,11 @@ def _takeover_once_marked(es, spec, cap):
         parent_idx = es.last_parent_idx
         flags = [flags[s] if s < mu else flags[parent_idx[s - mu]]
                  for s in es.last_sources]
-        if sum(flags) >= j2:
+        marked = sum(flags)
+        if marked >= j2:
             return t
+        if not marked:
+            return None
     return None
 
 
@@ -153,18 +158,13 @@ def ea0_once(rng, n, mu, lam, j1, j2, cap):
     with probability (1 - 1/n)^n; the count is capped at mu.
     """
     q_copy = (1.0 - 1.0 / n) ** n
-    samplers = {}
     j = j1
     t = 0
     trace = [j]
     while j < j2:
         if t >= cap:
             return None, trace
-        sampler = samplers.get(j)
-        if sampler is None:
-            sampler = BinomialSampler(lam, j * q_copy / mu)
-            samplers[j] = sampler
-        j = min(mu, j + sampler.draw(rng))
+        j = min(mu, j + _sampler(lam, j * q_copy / mu).draw(rng))
         t += 1
         trace.append(j)
     return t, trace

@@ -58,6 +58,19 @@ class TestRun:
         code, _ = _run(tmp_path, "run", "--n", "10", "--frobnicate")
         assert code == 2
 
+    def test_n_below_two_rejected(self, tmp_path, capsys):
+        # the master bound reported in bound_total is undefined at n = 1
+        code, data = _run(tmp_path, "run", "--n", "1")
+        assert code == 2 and data == b""
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_large_n_runs(self, tmp_path):
+        # sampler tables used to overflow a float from n = 1030 on
+        code, data = _run(tmp_path, "run", "--n", "1030", "--mu", "2",
+                          "--lambda", "2", "--seed", "3")
+        assert code == 0
+        assert data.decode().splitlines()[1].startswith("1030,2,2,plus,1,")
+
 
 class TestSweep:
     def test_grid_rows(self, tmp_path):
@@ -111,6 +124,15 @@ class TestFitPipeline:
         table.write_text(",".join(CSV_COLUMNS) + "\n")
         code, _ = _run(tmp_path, "fit", "--in", str(table))
         assert code == 3
+
+
+    def test_short_row_exits_validation(self, tmp_path, capsys):
+        table = tmp_path / "short.csv"
+        table.write_text(",".join(CSV_COLUMNS) + "\n10,1,1\n")
+        code, data = _run(tmp_path, "fit", "--in", str(table))
+        assert code == 2 and data == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: table row 1") and err.count("\n") == 1
 
 
 class TestMeasurementCommands:
@@ -167,6 +189,15 @@ class TestSubprocess:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert "total" in proc.stdout
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is most of the start-up time and only dominance needs it
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ealab.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
 
     def test_help(self):
         proc = subprocess.run(

@@ -11,6 +11,7 @@ from scipy import stats as sps
 from ealab import (BitString, ConfigError, MultiOptOneMax, OneMax,
                    UniqueOptGeneric, evaluate, is_optimal, make_fitness,
                    mutate)
+from ealab.genotype import flip_mask
 
 import oracles
 
@@ -174,6 +175,25 @@ class TestMutation:
         exp_pooled[-1] += acc_e
         result = sps.chisquare(obs_pooled, f_exp=exp_pooled)
         assert result.pvalue > 1e-3
+
+    # n straddles sample()'s setsize: 21 for k <= 5, 85 for 6 <= k <= 21
+    @pytest.mark.parametrize("n", [10, 21, 22, 50, 85, 86, 256, 1000])
+    def test_flip_mask_draws_what_sample_draws(self, n):
+        for k in range(n):
+            for seed in range(4):
+                ref, rng = random.Random(seed), random.Random(seed)
+                expected = 0
+                for pos in ref.sample(range(n), k):
+                    expected |= 1 << pos
+                assert flip_mask(rng, n, k) == expected, (n, k, seed)
+                assert rng.getstate() == ref.getstate(), (n, k, seed)
+
+    @pytest.mark.parametrize("n", [1, 10, 300])
+    def test_flip_mask_full_draws_nothing(self, n):
+        rng = random.Random(n)
+        state = rng.getstate()
+        assert flip_mask(rng, n, n) == (1 << n) - 1
+        assert rng.getstate() == state
 
     @given(st.integers(2, 30), st.floats(0.0, 1.0), st.integers(0, 2 ** 30))
     @settings(max_examples=80, deadline=None)

@@ -1,6 +1,7 @@
 """Sweep orchestration, ratio fits, dominance tests, and table round trips."""
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -178,6 +179,28 @@ class TestTables:
             parse_table(b"a,b,c\n1,2,3\n", "csv")
         with pytest.raises(ConfigError):
             parse_table(b"", "csv")
+
+    def test_malformed_rows_rejected(self):
+        header = ",".join(CSV_COLUMNS) + "\n"
+        good = emit(ExperimentTable((_row(50.0, 25.0),)), "csv").decode().splitlines()[1]
+        bad_csv = ["10,1,1\n",                                  # short row
+                   good + ",7\n",                               # extra field
+                   good.replace("10,1,1,plus", "ten,1,1,plus", 1) + "\n"]
+        for line in bad_csv:
+            with pytest.raises(ConfigError, match="row 1"):
+                parse_table((header + line).encode(), "csv")
+        record = json.loads(emit(ExperimentTable((_row(50.0, 25.0),)), "json"))["rows"][0]
+        for key, value in (("mean_T", None), ("mu", "two")):
+            rec = dict(record)
+            if value is None:
+                del rec[key]
+            else:
+                rec[key] = value
+            with pytest.raises(ConfigError, match=key):
+                parse_table(json.dumps({"rows": [rec]}), "json")
+        for data in (b"{", b"[]", b'{"rows": [1]}', b"\xff"):
+            with pytest.raises(ConfigError):
+                parse_table(data, "json")
 
     def test_unknown_format_rejected(self):
         table = ExperimentTable(())

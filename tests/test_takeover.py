@@ -1,14 +1,16 @@
 """Takeover and level-time measurements against exact chains and bounds."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 
-from ealab import (ConfigError, EaConfig, Ea0Spec, OneMax, TakeoverSpec,
-                   ea0_growth_lb, ea0_once, measure_level_time,
-                   measure_takeover, min_level_bound_general, run_ea0,
-                   takeover_bound_general)
+from ealab import (ConfigError, EaConfig, Ea0Spec, EvolutionState, OneMax,
+                   TakeoverSpec, ea0_growth_lb, ea0_once, measure_level_time,
+                   measure_takeover, min_level_bound_general, mix64, run_ea0,
+                   summarize, takeover_bound_general)
+from ealab.rng import BinomialSampler
 
 import oracles
 
@@ -95,6 +97,30 @@ class TestTakeover:
         assert stats.mean >= 1.0
 
 
+    def test_markers_censored_at_extinction(self):
+        # stopping a run once its marked lineage is extinct must not change
+        # the statistics of stepping it to the cap
+        spec = TakeoverSpec(10, 4, 8, i=0, j1=2, j2=4,
+                            replicates=60, seed=3, max_iterations=150)
+        config = EaConfig(10, 4, 8)
+        samples, exhausted = [], 0
+        for r in range(spec.replicates):
+            es = EvolutionState(config, OneMax(10), rng=random.Random(mix64(spec.seed, r)),
+                                initial_masks=[0] * 4)
+            flags = [True, True, False, False]
+            for t in range(1, 151):
+                es.step()
+                flags = [flags[s] if s < 4 else flags[es.last_parent_idx[s - 4]]
+                         for s in es.last_sources]
+                if sum(flags) >= 4:
+                    samples.append(t)
+                    break
+            else:
+                exhausted += 1
+        assert samples and exhausted
+        assert measure_takeover(spec) == summarize(samples, exhausted)
+
+
 class TestEa0:
     def test_trace_shape(self):
         rng = random.Random(5)
@@ -124,6 +150,23 @@ class TestEa0:
         floor = ea0_growth_lb(16, 256, 1, 16)
         assert stats.exhausted == 0
         assert stats.mean >= floor - 3 * stats.stderr
+
+
+    def test_tables_built_once(self, monkeypatch):
+        spec = Ea0Spec(20, 8, 16, 1, 8, replicates=200, seed=7)
+        builds = []
+        init = BinomialSampler.__init__
+
+        def counting_init(self, n, p):
+            builds.append((n, p))
+            init(self, n, p)
+
+        monkeypatch.setattr(BinomialSampler, "__init__", counting_init)
+        run_ea0(spec)
+        assert len(builds) <= spec.j2 - spec.j1     # one table per count j
+        builds.clear()
+        run_ea0(dataclasses.replace(spec, seed=8))
+        assert builds == []
 
 
 class TestLevelTime:
