@@ -15,8 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
-import math
 import random
 import sys
 from pathlib import Path
@@ -25,10 +23,10 @@ from .bounds import (FAST_REGIME, ea0_growth_lb, level_bound_fast,
                      level_bound_general, master_bound, min_level_bound_general,
                      phase_params, sudholt_bound, takeover_bound_fast,
                      takeover_bound_general)
-from .engines import EaConfig, TiePolicy, Variant
+from .engines import EaConfig, TiePolicy, Variant, iteration_budget
 from .genotype import BitString, ConfigError, make_fitness
 from .harness import (ExperimentTable, SweepSpec, compare_dominance, emit,
-                      fit_ratio, parse_table, run_cell, sweep)
+                      fit_ratio, json_bytes, parse_table, run_cell, sweep)
 from .rng import mix64
 from .takeover import Ea0Spec, TakeoverSpec, measure_takeover, run_ea0
 from .trees import count_at_distance, p_opt, q_opt_bound, total_nodes, verify_p_opt
@@ -184,9 +182,10 @@ def _fmt_value(value) -> str:
 
 
 def emit_record(record: dict, fmt: str) -> bytes:
-    """One flat record as a single-row CSV, JSON object, or aligned text."""
+    """One flat record as a single-row CSV, JSON object (non-finite floats as
+    null), or aligned text."""
     if fmt == "json":
-        return (json.dumps(record, indent=2) + "\n").encode("utf-8")
+        return json_bytes(record)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -219,8 +218,7 @@ def _stats_record(stats) -> dict:
 def _budget(args) -> int:
     if getattr(args, "max_iterations", None) is not None:
         return args.max_iterations
-    total = master_bound(max(args.n, 2), args.mu, args.lam).total
-    return int(math.ceil(args.budget_mult * total))
+    return iteration_budget(args.budget_mult, max(args.n, 2), args.mu, args.lam)
 
 
 def _cmd_run(args):

@@ -1,33 +1,51 @@
-"""The three algorithm variants with full trajectory instrumentation.
+"""The three algorithm variants: a fitness-level engine behind `run`, and a
+genotype engine for identity instrumentation.
 
 Variants: elitist plus-selection (best mu of mu+lambda), comma-selection
 (best mu of the lambda offspring, needs lambda >= mu), and the fair-parent
-plus variant (mu = lambda, exactly one offspring per parent). The (1+1)
-special case is plus-selection with mu = lambda = 1 and runs on a dedicated
-fast path with the same law.
+plus variant (mu = lambda, exactly one offspring per parent).
 
-`run` executes a whole run; `EvolutionState` exposes one iteration at a
-time together with offspring parentage and survivor sources, which is what
-the takeover and family-tree instrumentation builds on.
+On the three benchmarks (OneMax, MultiOptOneMax, UniqueOptGeneric) an
+offspring's fitness depends only on its parent's fitness: it is
+g - Bin(g, p) + Bin(n - g, p) for a parent at fitness g, counting agreements
+with the target for UniqueOptGeneric. Selection looks only at fitness, and
+which of several tied members survives does not change the multiset of
+fitness values, so neither does the tie policy. That multiset is therefore a
+Markov chain with the runtime law of the genotype process. `run`, and with
+it `run_batch`, the sweeps and the dominance comparisons, evolve this chain
+(`evolve_levels`), skipping idle iterations in one draw wherever the whole
+population sits on one level; the takeover module uses it for takeover at
+i >= 1 and for level-leaving times.
+
+`EvolutionState` runs the genotype process one iteration at a time and
+exposes offspring parentage and survivor sources, which the marker takeover
+(i = 0) and family-tree instrumentation build on. It also runs `run` on any
+other fitness object, and tests compare the two engines through it.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
+from itertools import repeat
 
 from .bounds import master_bound
-from .genotype import BitString, ConfigError, flip_mask
-from .rng import _sampler, mix64
+from .genotype import (BitString, ConfigError, MultiOptOneMax, OneMax,
+                       UniqueOptGeneric, flip_mask)
+from .rng import _sampler, binomial_pmf, cdf, mix64
 
 #: budget applied when EaConfig.max_iterations is None, in multiples of the
 #: master-bound total (rounded up), so sweeps terminate even at adversarial
 #: parameters.
 DEFAULT_BUDGET_MULT = 10.0
+
+#: fitness types whose offspring fitness depends on the parent's fitness alone
+LUMPABLE = (OneMax, MultiOptOneMax, UniqueOptGeneric)
 
 
 class Variant(Enum):
@@ -79,12 +97,26 @@ class EaConfig:
             raise ConfigError("seed must be an integer")
 
 
+def check_budget_mult(mult: float) -> float:
+    """mult itself; ConfigError unless it is a finite number above 0."""
+    if not (math.isfinite(mult) and mult > 0.0):
+        raise ConfigError(f"budget multiplier must be finite and > 0, got {mult}")
+    return mult
+
+
+def iteration_budget(mult: float, n: int, mu: int, lam: int) -> int:
+    """The budget rule: ceil(mult * master-bound total at (n, mu, lambda))."""
+    budget = check_budget_mult(mult) * master_bound(n, mu, lam).total
+    if not math.isfinite(budget):
+        raise ConfigError(f"budget multiplier {mult} gives an infinite budget")
+    return math.ceil(budget)
+
+
 def resolve_budget(config: EaConfig) -> int:
     """Iteration budget: explicit max_iterations, else 10x the master bound."""
     if config.max_iterations is not None:
         return config.max_iterations
-    report = master_bound(max(config.n, 2), config.mu, config.lam)
-    return int(math.ceil(DEFAULT_BUDGET_MULT * report.total))
+    return iteration_budget(DEFAULT_BUDGET_MULT, max(config.n, 2), config.mu, config.lam)
 
 
 @dataclass(frozen=True)
@@ -217,30 +249,121 @@ def _select(rng, mu, par_masks, par_fits, off_masks, off_fits,
     return new_masks, new_fits, sources
 
 
-def _run_one_plus_one(rng, f, n, sampler, budget, offspring_first,
-                      mask, fit, ftrace, ctrace):
-    # fast path for mu = lambda = 1 plus-selection; same law as the generic
-    # path (accept offspring when strictly better, ties per policy)
-    cum = sampler._cum
+@lru_cache(maxsize=4096)
+def _level_table(n: int, p: float, g: int) -> tuple:
+    """Offspring-fitness law of a parent at fitness g: g - Bin(g, p) + Bin(n - g, p).
+
+    Returns (lo, cum, u, log_q, up_lo, up_cum). An offspring's fitness is
+    lo + bisect_right(cum, U) for a uniform U; u = Pr(offspring > g) and
+    log_q = log(1 - u); an offspring known to gain has fitness
+    up_lo + bisect_right(up_cum, U). The two binomials come from
+    binomial_pmf directly, so these tables never evict rng's cached samplers.
+    """
+    l0, loss = _support(binomial_pmf(g, p))
+    g0, gain = _support(binomial_pmf(n - g, p))
+    top = len(loss) - 1
+    off = [0.0] * (top + len(gain))
+    for a, pa in enumerate(loss):
+        base = top - a
+        for b, pb in enumerate(gain):
+            off[base + b] += pa * pb
+    shift, off = _support(off)
+    lo = g - l0 - top + g0 + shift
+    start = max(0, g + 1 - lo)
+    up = off[start:]
+    u = min(1.0, math.fsum(up))
+    return (lo, cdf(off), u, math.log1p(-u) if u < 1.0 else -math.inf,
+            lo + start, cdf(up, u) if u > 0.0 else None)
+
+
+def _support(pmf):
+    """(index of the first nonzero entry, pmf trimmed of zero entries at both ends)."""
+    first = 0
+    while pmf[first] == 0.0:
+        first += 1
+    last = len(pmf)
+    while pmf[last - 1] == 0.0:
+        last -= 1
+    return first, pmf[first:last]
+
+
+class _Tables(dict):
+    """Per-run map from a fitness level to its table, filled on first visit."""
+
+    def __init__(self, n, p):
+        super().__init__()
+        self.n = n
+        self.p = p
+
+    def __missing__(self, g):
+        table = self[g] = _level_table(self.n, self.p, g)
+        return table
+
+
+def evolve_levels(config: EaConfig, rng, fits, budget: int, k: int, thr: int,
+                  ftrace: list, ctrace: list):
+    """Run the fitness-level chain of `config` until its k-th best fitness
+    reaches thr; the iterations taken, or None when the budget ran out first.
+
+    `fits` holds the mu starting fitness values. Each offspring picks its
+    parent as the variant does and draws its fitness from the parent level's
+    table; selection keeps the best mu values. While every member has the
+    same fitness m under plus or fairplus selection, an iteration changes the
+    population only if some offspring gains, so the idle iterations are
+    skipped in one geometric draw and the changing one starts at the first
+    gaining offspring (the ones before it cannot displace anything). Traces
+    get the starting best value and count, then one entry per iteration.
+    """
+    n, mu, lam = config.n, config.mu, config.lam
+    comma = config.variant is Variant.COMMA
+    fair = config.variant is Variant.FAIRPLUS
+    tables = _Tables(n, config.p)
     rr = rng.random
-    value = f.value
-    thr = f.opt_threshold
-    append_f = ftrace.append
-    append_c = ctrace.append
+    kth = mu - k
+    fits = sorted(fits)
+    best = fits[-1]
+    ftrace.append(best)
+    ctrace.append(mu - bisect_left(fits, best))
     t = 0
-    while t < budget:
-        flips = bisect_right(cum, rr())
-        child = mask ^ flip_mask(rng, n, flips) if flips else mask
-        cf = value(child)
+    while fits[kth] < thr:
+        if t >= budget:
+            return None
+        worst = fits[0]
+        if worst == best and not comma:
+            lo, cum, u, log_q, up_lo, up_cum = tables[worst]
+            x = math.log(1.0 - rr()) / (lam * log_q) if u > 0.0 else math.inf
+            idle = budget - t if x >= budget - t else int(x)
+            ftrace.extend(repeat(best, idle))
+            ctrace.extend(repeat(mu, idle))
+            t += idle
+            if t >= budget:
+                return None
+            # index of the first gaining offspring, given that one gains
+            j = 1 + int(math.log1p(rr() * math.expm1(lam * log_q)) / log_q)
+            offs = [up_lo + bisect_right(up_cum, rr())]
+            for _ in range(lam - min(j, lam)):
+                v = lo + bisect_right(cum, rr())
+                if v > worst:
+                    offs.append(v)
+        else:
+            offs = []
+            for i in range(lam):
+                table = tables[fits[i] if fair else fits[int(rr() * mu)]]
+                v = table[0] + bisect_right(table[1], rr())
+                if comma or v > worst:
+                    offs.append(v)
+        if comma:
+            offs.sort()
+            fits = offs[-mu:]
+        elif offs:
+            offs += fits
+            offs.sort()
+            fits = offs[-mu:]
         t += 1
-        if cf > fit or (cf == fit and (offspring_first or rr() < 0.5)):
-            mask = child
-            fit = cf
-        append_f(fit)
-        append_c(1)
-        if fit >= thr:
-            return RunResult(t, 1 + t, tuple(ftrace), tuple(ctrace), True)
-    return RunResult(None, 1 + budget, tuple(ftrace), tuple(ctrace), False)
+        best = fits[-1]
+        ftrace.append(best)
+        ctrace.append(mu - bisect_left(fits, best))
+    return t
 
 
 def run(config: EaConfig, f) -> RunResult:
@@ -248,7 +371,9 @@ def run(config: EaConfig, f) -> RunResult:
 
     The initial population is uniform random. Termination is checked on the
     initial population and then after every selection step; running out of
-    budget is a normal, flagged result, never an exception.
+    budget is a normal, flagged result, never an exception. On the LUMPABLE
+    benchmarks the run is the fitness-level chain of evolve_levels; any other
+    fitness object is run on genotypes by EvolutionState.
     """
     config.validate()
     if f.n != config.n:
@@ -256,39 +381,33 @@ def run(config: EaConfig, f) -> RunResult:
     n, mu, lam = config.n, config.mu, config.lam
     rng = random.Random(config.seed)
     budget = resolve_budget(config)
-    sampler = _sampler(n, config.c / n)
-    value = f.value
-    thr = f.opt_threshold
+    ftrace = []
+    ctrace = []
+    if isinstance(f, LUMPABLE):
+        fits = [f.value(rng.getrandbits(n)) for _ in range(mu)]
+        t = evolve_levels(config, rng, fits, budget, 1, f.opt_threshold,
+                          ftrace, ctrace)
+    else:
+        t = _step_to_optimum(EvolutionState(config, f, rng=rng), budget,
+                             ftrace, ctrace)
+    if t is None:
+        return RunResult(None, mu + lam * budget, tuple(ftrace), tuple(ctrace), False)
+    return RunResult(t, mu + lam * t, tuple(ftrace), tuple(ctrace), True)
 
-    masks = [rng.getrandbits(n) for _ in range(mu)]
-    fits = [value(m) for m in masks]
-    best = max(fits)
-    ftrace = [best]
-    ctrace = [fits.count(best)]
-    if best >= thr:
-        return RunResult(0, mu, tuple(ftrace), tuple(ctrace), True)
 
-    comma = config.variant is Variant.COMMA
-    fair = config.variant is Variant.FAIRPLUS
-    offspring_first = config.tie_policy is TiePolicy.OFFSPRING_FIRST_RANDOM
-
-    if mu == 1 and lam == 1 and not comma:
-        return _run_one_plus_one(rng, f, n, sampler, budget, offspring_first,
-                                 masks[0], fits[0], ftrace, ctrace)
-
+def _step_to_optimum(es, budget, ftrace, ctrace):
+    thr = es.fitness.opt_threshold
     t = 0
-    while t < budget:
-        off_masks, _ = _make_offspring(rng, masks, n, lam, sampler, fair)
-        off_fits = [value(m) for m in off_masks]
-        masks, fits, _ = _select(rng, mu, masks, fits, off_masks, off_fits,
-                                 comma, offspring_first, False)
-        t += 1
-        best = max(fits)
+    while True:
+        best = es.best_fitness
         ftrace.append(best)
-        ctrace.append(fits.count(best))
+        ctrace.append(es.fits.count(best))
         if best >= thr:
-            return RunResult(t, mu + lam * t, tuple(ftrace), tuple(ctrace), True)
-    return RunResult(None, mu + lam * budget, tuple(ftrace), tuple(ctrace), False)
+            return t
+        if t >= budget:
+            return None
+        es.step()
+        t += 1
 
 
 def _run_one(args):

@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .bounds import master_bound
-from .engines import EaConfig, TiePolicy, Variant, run_batch
+from .engines import (EaConfig, TiePolicy, Variant, check_budget_mult,
+                      iteration_budget, run_batch)
 from .genotype import ConfigError, make_fitness
 from .rng import mix64
 from .stats import SampleStats, summarize
@@ -48,8 +49,7 @@ class SweepSpec:
             raise ConfigError("grid axes must be nonempty")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        if not self.budget_mult > 0:
-            raise ConfigError("budget_mult must be positive")
+        check_budget_mult(self.budget_mult)
         if self.fitness.lower() not in ("onemax", "multiopt"):
             raise ConfigError("sweeps support fitness 'onemax' or 'multiopt'")
 
@@ -147,7 +147,7 @@ def sweep(spec: SweepSpec, workers: int | None = None) -> ExperimentTable:
         try:
             f = make_fitness(spec.fitness, n, k=spec.k)
             bound = master_bound(n, mu, lam).total
-            budget = int(math.ceil(spec.budget_mult * bound))
+            budget = iteration_budget(spec.budget_mult, n, mu, lam)
             config = EaConfig(n, mu, lam, spec.variant, spec.c,
                               spec.tie_policy, budget, cell_seed)
             config.validate()
@@ -263,7 +263,8 @@ def emit(table: ExperimentTable, fmt: str = "csv") -> bytes:
     """Serialize a table: UTF-8, '.' decimal separator, '\\n' line ends.
 
     CSV carries exactly CSV_COLUMNS with a mandatory header; JSON mirrors the
-    same numbers (identical floats) plus the skew_warned and error extras.
+    same numbers (identical floats, non-finite ones as null) plus the
+    skew_warned and error extras.
     """
     fmt = fmt.lower()
     if fmt == "csv":
@@ -274,15 +275,32 @@ def emit(table: ExperimentTable, fmt: str = "csv") -> bytes:
             writer.writerow([_cell_text(v) for v in _row_values(row)])
         return buf.getvalue().encode("utf-8")
     if fmt == "json":
-        payload = {"columns": list(CSV_COLUMNS),
-                   "rows": [_row_record(row) for row in table.rows]}
-        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        return json_bytes({"columns": list(CSV_COLUMNS),
+                           "rows": [_row_record(row) for row in table.rows]})
     raise ConfigError(f"unknown table format {fmt!r}")
+
+
+def _strict(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
+def json_bytes(payload) -> bytes:
+    """payload as indented UTF-8 JSON with a final newline. NaN and the
+    infinities are not JSON, so non-finite floats are written as null."""
+    return (json.dumps(_strict(payload), indent=2, allow_nan=False) + "\n").encode("utf-8")
 
 
 def _field(record: dict, key: str, kind):
     if key not in record:
         raise ConfigError(f"missing field {key!r}")
+    if record[key] is None and kind is float:
+        return math.nan   # JSON null: a non-finite float
     try:
         return kind(record[key])
     except (TypeError, ValueError):
@@ -324,6 +342,7 @@ def _parse_rows(records, stored_extras: bool) -> ExperimentTable:
 def parse_table(data, fmt: str = "csv") -> ExperimentTable:
     """Inverse of emit for both formats. CSV does not carry the JSON-only
     extras, so skew_warned is recomputed and error rows come back as None.
+    A JSON null in a float column reads back as NaN.
 
     Raises ConfigError on anything emit would not have written: a wrong
     header, a CSV row with too few or too many fields, a missing field or a

@@ -4,12 +4,15 @@ process used for lower bounds.
 Takeover runs start from a worst-case-consistent plateau population: j1
 members carry a fixed string of fitness i and the mu - j1 fillers sit exactly
 one fitness level below, so plus-selection never ejects fit members in favor
-of fillers. "Fit" means fitness >= i, except in the degenerate i = 0
-construction where a strictly worse filler is impossible and every string is
-trivially at fitness >= 0; there the j1 designated members carry a marker
-that offspring inherit from their parent, and the marked lineage count plays
-the role of the fit count. A marker run whose lineage dies out is censored
-at once rather than stepped to the cap.
+of fillers. "Fit" means fitness >= i. Both this measurement at i >= 1 and the
+level-leaving time look only at fitness values, so they run on the
+fitness-level chain of `engines.evolve_levels`, which has the same law as
+the genotype process. The degenerate i = 0 construction follows identities
+instead: a strictly worse filler is impossible and every string is trivially
+at fitness >= 0, so the j1 designated members carry a marker that offspring
+inherit from their parent, and the marked lineage count plays the role of
+the fit count. It steps `EvolutionState`; a marker run whose lineage dies
+out is censored at once rather than stepped to the cap.
 
 The copy-only process is simulated at the level of counts. Its law depends
 only on the number of desired members, so this is exact, not an approximation.
@@ -22,8 +25,9 @@ import random
 from dataclasses import dataclass
 
 from .bounds import takeover_bound_general
-from .engines import EaConfig, EvolutionState, Variant, resolve_budget
-from .genotype import ConfigError, MultiOptOneMax, OneMax, UniqueOptGeneric
+from .engines import (LUMPABLE, EaConfig, EvolutionState, Variant,
+                      evolve_levels, resolve_budget)
+from .genotype import ConfigError, OneMax
 from .rng import _sampler, mix64
 from .stats import SampleStats, summarize
 
@@ -51,7 +55,8 @@ class TakeoverSpec:
             raise ConfigError(f"need 0 <= i <= n-1, got i={self.i}, n={self.n}")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        EaConfig(self.n, self.mu, self.lam, Variant.PLUS, self.c).validate()
+        EaConfig(self.n, self.mu, self.lam, Variant.PLUS, self.c,
+                 max_iterations=self.max_iterations).validate()
 
 
 @dataclass(frozen=True)
@@ -75,14 +80,8 @@ class Ea0Spec:
             raise ConfigError("need n >= 2 and lambda >= 1")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-
-
-def _plateau_masks(n, i, j1, mu):
-    """j1 copies of the fixed fitness-i string plus mu - j1 fillers one level
-    below (for i = 0 the filler is the same flat string)."""
-    level = (1 << i) - 1
-    filler = (1 << (i - 1)) - 1 if i >= 1 else 0
-    return [level] * j1 + [filler] * (mu - j1)
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ConfigError("max_iterations must be >= 1")
 
 
 def _takeover_cap(spec: TakeoverSpec) -> int:
@@ -96,23 +95,20 @@ def measure_takeover(spec: TakeoverSpec) -> SampleStats:
     """Sample tau: iterations of the plus engine until >= j2 fit members.
 
     For i >= 1 the fit count is non-decreasing under plus-selection, so the
-    safety cap is never binding in practice; in the i = 0 marker construction
-    the marked lineage competes on equal terms and can die out. Such a run is
-    censored as soon as its last marked member is gone, since no later step
-    can bring the marker back; it counts as exhausted, as a capped run would.
+    safety cap is never binding in practice; these runs evolve fitness
+    levels. In the i = 0 marker construction the marked lineage competes on
+    equal terms and can die out. Such a run is censored as soon as its last
+    marked member is gone, since no later step can bring the marker back; it
+    counts as exhausted, as a capped run would.
     """
     spec.validate()
     cap = _takeover_cap(spec)
-    config = EaConfig(spec.n, spec.mu, spec.lam, Variant.PLUS, spec.c)
-    initial = _plateau_masks(spec.n, spec.i, spec.j1, spec.mu)
-    f = OneMax(spec.n)
     samples = []
     exhausted = 0
     for r in range(spec.replicates):
         rng = random.Random(mix64(spec.seed, r))
-        es = EvolutionState(config, f, rng=rng, initial_masks=list(initial))
-        tau = (_takeover_once_marked(es, spec, cap) if spec.i == 0
-               else _takeover_once(es, spec, cap))
+        tau = (_takeover_once_marked(rng, spec, cap) if spec.i == 0
+               else _takeover_once(rng, spec, cap))
         if tau is None:
             exhausted += 1
         else:
@@ -120,20 +116,20 @@ def measure_takeover(spec: TakeoverSpec) -> SampleStats:
     return summarize(samples, exhausted)
 
 
-def _takeover_once(es, spec, cap):
-    level, j2 = spec.i, spec.j2
-    t = 0
-    while t < cap:
-        es.step()
-        t += 1
-        if sum(1 for fv in es.fits if fv >= level) >= j2:
-            return t
-    return None
+def _config(spec):
+    return EaConfig(spec.n, spec.mu, spec.lam, Variant.PLUS, spec.c)
 
 
-def _takeover_once_marked(es, spec, cap):
+def _takeover_once(rng, spec, cap):
+    # i >= 1: j1 members at fitness i, the fillers at i - 1
+    fits = [spec.i] * spec.j1 + [spec.i - 1] * (spec.mu - spec.j1)
+    return evolve_levels(_config(spec), rng, fits, cap, spec.j2, spec.i, [], [])
+
+
+def _takeover_once_marked(rng, spec, cap):
     # i = 0: offspring inherit the parent's marker, survivors keep theirs
     mu, j2 = spec.mu, spec.j2
+    es = EvolutionState(_config(spec), OneMax(spec.n), rng=rng, initial_masks=[0] * mu)
     flags = [True] * spec.j1 + [False] * (mu - spec.j1)
     t = 0
     while t < cap:
@@ -194,40 +190,29 @@ def run_ea0(spec: Ea0Spec) -> SampleStats:
     return summarize(samples, exhausted)
 
 
-def _level_masks(f, n, i, mu):
-    if isinstance(f, UniqueOptGeneric):
-        level = f.target.mask ^ ((1 << (n - i)) - 1)
-        filler = f.target.mask ^ ((1 << (n - i + 1)) - 1) if i >= 1 else level
-    elif isinstance(f, (OneMax, MultiOptOneMax)):
-        level = (1 << i) - 1
-        filler = (1 << (i - 1)) - 1 if i >= 1 else level
-    else:
-        raise ConfigError(f"cannot construct fitness-level strings for {f!r}")
-    return [level] + [filler] * (mu - 1)
-
-
 def measure_level_time(config: EaConfig, f, i: int, replicates: int) -> SampleStats:
     """Sample the level-leaving time: iterations until best fitness exceeds i,
-    starting from one member at fitness exactly i and mu - 1 one level below."""
+    starting from one member at fitness exactly i and mu - 1 one level below
+    (all mu at 0 when i = 0). The runs evolve fitness levels, so f must be
+    one of the LUMPABLE benchmarks."""
     config.validate()
+    if not isinstance(f, LUMPABLE):
+        raise ConfigError(f"cannot construct fitness levels for {f!r}")
+    if f.n != config.n:
+        raise ConfigError(f"dimension mismatch: config n={config.n}, fitness n={f.n}")
     if not 0 <= i <= config.n - 1:
         raise ConfigError(f"need 0 <= i <= n-1, got i={i}, n={config.n}")
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
     cap = resolve_budget(config)
-    initial = _level_masks(f, config.n, i, config.mu)
+    initial = [i] + [max(i - 1, 0)] * (config.mu - 1)
     samples = []
     exhausted = 0
     for r in range(replicates):
         rng = random.Random(mix64(config.seed, r))
-        es = EvolutionState(config, f, rng=rng, initial_masks=list(initial))
-        t = 0
-        while t < cap:
-            es.step()
-            t += 1
-            if es.best_fitness > i:
-                samples.append(t)
-                break
-        else:
+        t = evolve_levels(config, rng, initial, cap, 1, i + 1, [], [])
+        if t is None:
             exhausted += 1
+        else:
+            samples.append(t)
     return summarize(samples, exhausted)

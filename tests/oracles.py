@@ -134,3 +134,28 @@ def exact_hit_rate_one_mutation(n: int, hamming: int) -> float:
     """P(one standard-bit mutation at p = 1/n lands exactly on a target at
     the given Hamming distance): flip the differing bits, keep the rest."""
     return (1.0 / n) ** hamming * (1.0 - 1.0 / n) ** (n - hamming)
+
+
+def one_plus_lambda_expected_iterations(n: int, lam: int) -> float:
+    """Expected iterations of the elitist one-parent, lam-offspring process
+    on the count-of-ones objective from a uniform random start.
+
+    The parent's popcount is Markov: it moves to the best offspring count
+    when that is higher and stays otherwise. With F the single-offspring
+    distribution function from count i, the best of lam offspring is at
+    most j with probability F(j)^lam; hitting times follow by
+    back-substitution over the levels.
+    """
+    p = 1.0 / n
+    expected = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        cdf = 0.0
+        below = {}
+        for j in range(n + 1):
+            cdf += onemax_transition(n, i, j, p)
+            below[j] = min(cdf, 1.0) ** lam
+        up = {j: below[j] - below[j - 1] for j in range(i + 1, n + 1)}
+        q = 1.0 - below[i]
+        expected[i] = (1.0 + sum(w * expected[j] for j, w in up.items())) / q
+    weights = [math.comb(n, i) / 2.0 ** n for i in range(n + 1)]
+    return sum(w * e for w, e in zip(weights, expected))

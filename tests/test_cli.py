@@ -1,8 +1,15 @@
 """Command-line surface: exit codes, formats, config files, piping."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ealab import CSV_COLUMNS
 from ealab.cli import main
@@ -12,6 +19,12 @@ def _run(tmp_path, *argv):
     out = tmp_path / "out.dat"
     code = main(list(argv) + ["--out", str(out)])
     return code, (out.read_bytes() if out.exists() else b"")
+
+
+def _strict_json(data):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(data, parse_constant=reject)
 
 
 class TestBounds:
@@ -85,6 +98,95 @@ class TestSweep:
                        "--lambda", "2", "--variant", "comma",
                        "--replicates", "2")
         assert code == 2
+
+
+class TestBudgetAndCaps:
+    @pytest.mark.parametrize("mult", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ("run", "--n", "10"),
+        ("sweep", "--n", "10,12", "--replicates", "2"),
+    ], ids=["run", "sweep"])
+    def test_bad_budget_mult_exits_validation(self, tmp_path, capsys, argv, mult):
+        code, data = _run(tmp_path, *argv, "--budget-mult", mult)
+        assert code == 2 and data == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: budget multiplier") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["takeover", "ea0"])
+    def test_zero_cap_exits_validation(self, tmp_path, capsys, command):
+        code, data = _run(tmp_path, command, "--n", "10", "--mu", "4",
+                          "--lambda", "4", "--max-iterations", "0")
+        assert code == 2 and data == b""
+        assert capsys.readouterr().err.count("\n") == 1
+
+
+class TestStrictJson:
+    def test_sweep_error_row_is_null(self, tmp_path):
+        code, data = _run(tmp_path, "sweep", "--n", "1,10", "--replicates", "3",
+                          "--format", "json")
+        assert code == 0
+        bad, good = _strict_json(data)["rows"]
+        assert bad["error"] and bad["mean_T"] is None and bad["ratio"] is None
+        assert good["mean_T"] > 0
+
+    def test_single_replicate_stderr_is_null(self, tmp_path):
+        code, data = _run(tmp_path, "run", "--n", "10", "--format", "json")
+        assert code == 0
+        assert _strict_json(data)["rows"][0]["stderr_T"] is None
+
+    def test_record_without_completed_runs(self, tmp_path):
+        # one offspring per iteration cannot add seven fit members in one step
+        code, data = _run(tmp_path, "takeover", "--n", "40", "--mu", "8",
+                          "--lambda", "1", "--max-iterations", "1",
+                          "--replicates", "3", "--format", "json")
+        assert code == 3
+        rec = _strict_json(data)
+        assert rec["completed"] == 0 and rec["mean"] is None
+
+
+_BUDGET_MULTS = ["nan", "inf", "-1", "0", "0.5", "10"]
+
+
+@st.composite
+def _small_argv(draw):
+    command = draw(st.sampled_from(["run", "sweep", "takeover", "ea0"]))
+
+    def value(lo, hi, edges=(0, -1)):
+        # mostly in [lo, hi], one time in eight an edge value
+        return draw(st.integers(lo, hi) if draw(st.integers(0, 7)) else st.sampled_from(edges))
+
+    n, mu = value(2, 40, (0, 1)), value(1, 8)
+    lam = mu if draw(st.booleans()) else value(1, 8)
+    ns = [n] + ([value(2, 40, (0, 1))] if command == "sweep" and draw(st.booleans()) else [])
+    argv = [command, "--n", ",".join(map(str, ns)), "--mu", str(mu), "--lambda", str(lam),
+            "--replicates", str(value(1, 3)), "--seed", str(draw(st.integers(0, 2 ** 32)))]
+    if draw(st.booleans()):
+        argv += ["--budget-mult", draw(st.sampled_from(_BUDGET_MULTS))]
+    if command != "sweep" and draw(st.booleans()):
+        argv += ["--max-iterations", str(draw(st.integers(0, 50)))]
+    if draw(st.booleans()):
+        argv += ["--workers", str(draw(st.integers(0, 2)))]
+    if command in ("run", "sweep"):
+        argv += ["--variant", draw(st.sampled_from(["plus", "comma", "fairplus"]))]
+        if draw(st.booleans()):
+            argv += ["--fitness", "multiopt", "--k", str(value(0, 4))]
+    if command == "takeover":
+        argv += ["--i", str(value(0, max(n - 1, 0), (-1, n)))]
+    if command in ("takeover", "ea0"):
+        j1 = value(1, max(mu - 1, 1))
+        argv += ["--j1", str(j1), "--j2", str(value(j1 + 1, max(mu, j1 + 1), (j1, mu + 1)))]
+    argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    return argv
+
+
+@given(_small_argv())
+@settings(max_examples=80, deadline=None)
+def test_small_argv_exits_cleanly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", os.devnull])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestConfigFile:

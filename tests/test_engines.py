@@ -1,15 +1,21 @@
 """Engine variants: run law, determinism, selection invariants."""
 
+import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+import scipy.stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ealab import (ConfigError, EaConfig, EvolutionState, MultiOptOneMax,
-                   OneMax, TiePolicy, Variant, compare_dominance, mix64,
+from ealab import (BitString, ConfigError, EaConfig, EvolutionState,
+                   MultiOptOneMax, OneMax, TakeoverSpec, TiePolicy,
+                   UniqueOptGeneric, Variant, compare_dominance,
+                   measure_level_time, measure_takeover, mix64,
                    resolve_budget, run, run_batch)
+from ealab.engines import _level_table, evolve_levels
 
 import oracles
 
@@ -209,3 +215,198 @@ class TestEvolutionState:
             es.step()
             assert es.best_fitness >= best
             best = es.best_fitness
+
+
+class _Opaque:
+    """A benchmark behind a type the fitness-level engine does not know, so
+    run() steps the genotype engine (EvolutionState) on it."""
+
+    def __init__(self, f):
+        self.n = f.n
+        self.opt_threshold = f.opt_threshold
+        self.value = f.value
+
+
+def _agree(xs, ys):
+    """Two-sample KS p >= 1e-3, or means within 4 standard errors."""
+    if sps.ks_2samp(xs, ys).pvalue >= 1e-3:
+        return True
+    se = math.sqrt(sps.tvar(xs) / len(xs) + sps.tvar(ys) / len(ys))
+    return abs(sum(xs) / len(xs) - sum(ys) / len(ys)) <= 4 * se
+
+
+def _means_agree(stats, reference):
+    """A measurement's mean within 4 standard errors of a reference sample's."""
+    se = math.sqrt(stats.stderr ** 2 + sps.tvar(reference) / len(reference))
+    return abs(stats.mean - sum(reference) / len(reference)) <= 4 * se
+
+
+def _times(results):
+    return [r.iterations_to_opt for r in results if not r.exhausted]
+
+
+def _exact_offspring_pmf(n, p, g):
+    """Pr(offspring fitness = v) for a parent at fitness g, by math.comb."""
+    p = Fraction(p)
+    pmf = [Fraction(0)] * (n + 1)
+    for a in range(g + 1):
+        for b in range(n - g + 1):
+            pmf[g - a + b] += (math.comb(g, a) * p ** a * (1 - p) ** (g - a)
+                               * math.comb(n - g, b) * p ** b * (1 - p) ** (n - g - b))
+    return pmf
+
+
+def _table_pmf(lo, cum, n):
+    pmf = [0.0] * (n + 1)
+    prev = 0.0
+    for k, c in enumerate(cum):
+        pmf[lo + k] = c - prev
+        prev = c
+    return pmf
+
+
+class TestLumpedEngine:
+    """The fitness-level engine behind run() against the genotype engine."""
+
+    REPLICATES = 400
+    SHAPES = [
+        # (n, mu, lam, variant, tie policy)
+        (12, 1, 1, Variant.PLUS, TiePolicy.OFFSPRING_FIRST_RANDOM),
+        (12, 3, 5, Variant.PLUS, TiePolicy.UNIFORM_RANDOM),
+        (14, 2, 8, Variant.PLUS, TiePolicy.OFFSPRING_FIRST_RANDOM),
+        (10, 1, 4, Variant.COMMA, TiePolicy.OFFSPRING_FIRST_RANDOM),
+        (12, 2, 6, Variant.COMMA, TiePolicy.UNIFORM_RANDOM),
+        (10, 3, 9, Variant.COMMA, TiePolicy.OFFSPRING_FIRST_RANDOM),
+        (10, 2, 2, Variant.FAIRPLUS, TiePolicy.OFFSPRING_FIRST_RANDOM),
+        (12, 4, 4, Variant.FAIRPLUS, TiePolicy.UNIFORM_RANDOM),
+        (16, 3, 3, Variant.FAIRPLUS, TiePolicy.OFFSPRING_FIRST_RANDOM),
+    ]
+
+    @pytest.mark.parametrize("n,mu,lam,variant,tie", SHAPES)
+    def test_runtime_law_matches_genotype_engine(self, n, mu, lam, variant, tie):
+        cfg = EaConfig(n, mu, lam, variant, tie_policy=tie, seed=11)
+        lumped = run_batch(cfg, OneMax(n), self.REPLICATES)
+        masks = run_batch(replace(cfg, seed=12), _Opaque(OneMax(n)), self.REPLICATES)
+        assert _agree(_times(lumped), _times(masks))
+
+    @pytest.mark.parametrize("f", [
+        UniqueOptGeneric(BitString.from_string("011010011101")),
+        MultiOptOneMax(14, 2),
+    ], ids=["uniqueopt", "multiopt"])
+    def test_other_benchmarks_match_genotype_engine(self, f):
+        cfg = EaConfig(f.n, 2, 4, seed=13)
+        lumped = run_batch(cfg, f, self.REPLICATES)
+        masks = run_batch(replace(cfg, seed=14), _Opaque(f), self.REPLICATES)
+        assert _agree(_times(lumped), _times(masks))
+
+    @pytest.mark.parametrize("n,mu,lam,variant,i", [
+        (12, 2, 3, Variant.PLUS, 8),
+        (12, 2, 4, Variant.COMMA, 6),
+        (12, 3, 3, Variant.FAIRPLUS, 9),
+    ])
+    def test_level_time_matches_genotype_engine(self, n, mu, lam, variant, i):
+        cfg = EaConfig(n, mu, lam, variant, seed=15)
+        lumped = measure_level_time(cfg, OneMax(n), i, self.REPLICATES)
+        reference = []
+        initial = [(1 << i) - 1] + [(1 << (i - 1)) - 1] * (mu - 1)
+        for r in range(self.REPLICATES):
+            es = EvolutionState(cfg, OneMax(n), rng=random.Random(mix64(16, r)),
+                                initial_masks=initial)
+            while es.best_fitness <= i:
+                es.step()
+            reference.append(es.iteration)
+        assert lumped.exhausted == 0
+        assert _means_agree(lumped, reference)
+
+    @pytest.mark.parametrize("n,mu,lam,i,j1,j2", [
+        (12, 4, 4, 6, 1, 4),
+        (12, 3, 6, 8, 1, 2),
+        (14, 5, 3, 7, 2, 5),
+    ])
+    def test_takeover_matches_genotype_engine(self, n, mu, lam, i, j1, j2):
+        spec = TakeoverSpec(n, mu, lam, i, j1, j2, replicates=self.REPLICATES, seed=17)
+        lumped = measure_takeover(spec)
+        cfg = EaConfig(n, mu, lam)
+        initial = [(1 << i) - 1] * j1 + [(1 << (i - 1)) - 1] * (mu - j1)
+        reference = []
+        for r in range(self.REPLICATES):
+            es = EvolutionState(cfg, OneMax(n), rng=random.Random(mix64(18, r)),
+                                initial_masks=initial)
+            while sum(1 for fv in es.fits if fv >= i) < j2:
+                es.step()
+            reference.append(es.iteration)
+        assert lumped.exhausted == 0
+        assert _means_agree(lumped, reference)
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 3.0, "n"])
+    def test_level_tables_are_exact(self, n, c):
+        p = 1.0 if c == "n" else min(1.0, c / n)
+        for g in range(n + 1):
+            exact = _exact_offspring_pmf(n, p, g)
+            lo, cum, u, log_q, up_lo, up_cum = _level_table(n, p, g)
+            got = _table_pmf(lo, cum, n)
+            assert all(abs(a - float(b)) <= 1e-12 for a, b in zip(got, exact))
+            gain = sum(exact[g + 1:])
+            assert abs(u - float(gain)) <= 1e-12
+            if gain:
+                assert u == 1.0 or math.isclose(log_q, math.log1p(-u))
+                cond = _table_pmf(up_lo, up_cum, n)
+                assert all(abs(a - float(b / gain)) <= 1e-12 if k > g else a == 0.0
+                           for k, (a, b) in enumerate(zip(cond, exact)))
+
+    @pytest.mark.parametrize("n,mu,lam,m,seed", [(10, 1, 8, 3, 25), (12, 2, 3, 9, 26)])
+    def test_idle_skip_step_is_exact(self, n, mu, lam, m, seed):
+        # from mu members at fitness m: the wait is geometric with success
+        # 1 - F(m)^lam and the new best has the law of the best of lam
+        # offspring given that it exceeds m (F: one offspring's cdf)
+        reps = 20000
+        cfg = EaConfig(n, mu, lam)
+        rng = random.Random(seed)
+        waits, bests = [], []
+        for _ in range(reps):
+            ftrace = []
+            waits.append(evolve_levels(cfg, rng, [m] * mu, 10 ** 9, 1, m + 1, ftrace, []))
+            bests.append(ftrace[-1])
+        cdf, acc = [], 0.0
+        for v in range(n + 1):
+            acc += oracles.onemax_transition(n, m, v, 1.0 / n)
+            cdf.append(min(acc, 1.0) ** lam)
+        leave = 1.0 - cdf[m]
+        assert abs(sum(waits) / reps - 1.0 / leave) <= 4 * math.sqrt(sps.tvar(waits) / reps)
+        observed = [bests.count(v) for v in range(m + 1, n + 1)]
+        expected = [reps * (cdf[v] - cdf[v - 1]) / leave for v in range(m + 1, n + 1)]
+        while expected[-1] < 5:   # pool the sparse top levels
+            top_e, top_o = expected.pop(), observed.pop()
+            expected[-1] += top_e
+            observed[-1] += top_o
+        assert sps.chisquare(observed, expected).pvalue >= 1e-3
+
+    def test_one_plus_lambda_matches_chain(self):
+        n, lam, reps = 20, 4, 4000
+        results = run_batch(EaConfig(n, 1, lam, seed=19), OneMax(n), reps)
+        ts = _times(results)
+        assert len(ts) == reps
+        mean = sum(ts) / reps
+        se = math.sqrt(sps.tvar(ts) / reps)
+        assert abs(mean - oracles.one_plus_lambda_expected_iterations(n, lam)) <= 4 * se
+
+    def test_large_n_finishes(self):
+        n = 10 ** 5
+        res = run(EaConfig(n, 1, 1, seed=21), MultiOptOneMax(n, n // 2 - 500))
+        assert res.hit_optimum
+        assert res.best_fitness_trace[-1] >= n // 2 + 500
+        assert len(res.best_fitness_trace) == res.iterations_to_opt + 1
+        stats = measure_level_time(EaConfig(n, 1, 1, seed=22), OneMax(n), n - 1, 5)
+        assert stats.exhausted == 0
+
+    def test_non_benchmark_fitness_uses_genotype_engine(self):
+        cfg = EaConfig(10, 2, 3, seed=23, max_iterations=500)
+        f = _Opaque(OneMax(10))
+        res = run(cfg, f)
+        es = EvolutionState(cfg, f)
+        trace = [es.best_fitness]
+        while es.best_fitness < 10:
+            es.step()
+            trace.append(es.best_fitness)
+        assert res.best_fitness_trace == tuple(trace)

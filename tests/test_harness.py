@@ -159,6 +159,21 @@ class TestTables:
         for r1, r2 in zip(table.rows, back.rows):
             assert _rows_equal(r1, r2)
 
+    def test_json_is_strict_and_round_trips_nan(self):
+        table = ExperimentTable((_row(50.0, 25.0), _row(float("nan"), float("nan"),
+                                                         error="bad cell")))
+        data = emit(table, "json")
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        rows = json.loads(data, parse_constant=reject)["rows"]
+        assert rows[1]["mean_T"] is None and rows[1]["error"] == "bad cell"
+        back = parse_table(data, "json")
+        for r1, r2 in zip(table.rows, back.rows):
+            assert _rows_equal(r1, r2)
+        assert b"nan" in emit(table, "csv")
+
     def test_formats_agree_on_numbers(self):
         table = self._table()
         via_csv = parse_table(emit(table, "csv"), "csv")

@@ -29,7 +29,8 @@ class TestSpecs:
                TakeoverSpec(10, 4, 4, i=5, j1=3, j2=2),
                TakeoverSpec(10, 4, 4, i=5, j1=1, j2=5),
                TakeoverSpec(10, 4, 4, i=10, j1=1, j2=4),
-               TakeoverSpec(10, 4, 4, i=5, j1=1, j2=4, replicates=0))
+               TakeoverSpec(10, 4, 4, i=5, j1=1, j2=4, replicates=0),
+               TakeoverSpec(10, 4, 4, i=5, j1=1, j2=4, max_iterations=0))
         for spec in bad:
             with pytest.raises(ConfigError):
                 spec.validate()
@@ -37,7 +38,8 @@ class TestSpecs:
     def test_ea0_validation(self):
         Ea0Spec(10, 4, 8, 1, 4).validate()
         for spec in (Ea0Spec(1, 4, 8, 1, 4), Ea0Spec(10, 4, 0, 1, 4),
-                     Ea0Spec(10, 4, 8, 4, 4), Ea0Spec(10, 4, 8, 1, 4, replicates=0)):
+                     Ea0Spec(10, 4, 8, 4, 4), Ea0Spec(10, 4, 8, 1, 4, replicates=0),
+                     Ea0Spec(10, 4, 8, 1, 4, max_iterations=0)):
             with pytest.raises(ConfigError):
                 spec.validate()
 
