@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import random
 import sys
 from pathlib import Path
@@ -23,7 +24,8 @@ from .bounds import (FAST_REGIME, ea0_growth_lb, level_bound_fast,
                      level_bound_general, master_bound, min_level_bound_general,
                      phase_params, sudholt_bound, takeover_bound_fast,
                      takeover_bound_general)
-from .engines import EaConfig, TiePolicy, Variant, iteration_budget
+from .engines import (DEFAULT_BUDGET_MULT, EaConfig, TiePolicy, Variant,
+                      iteration_budget)
 from .genotype import BitString, ConfigError, make_fitness
 from .harness import (ExperimentTable, SweepSpec, compare_dominance, emit,
                       fit_ratio, json_bytes, parse_table, run_cell, sweep)
@@ -73,7 +75,7 @@ def _common(sp: argparse.ArgumentParser, replicates_default: int):
     sp.add_argument("--replicates", type=int, default=replicates_default)
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
-    sp.add_argument("--budget-mult", type=float, default=10.0,
+    sp.add_argument("--budget-mult", type=float, default=DEFAULT_BUDGET_MULT,
                     help="iteration budget as a multiple of the bound total")
     sp.add_argument("--workers", type=int, default=None)
     sp.add_argument("--config", default=None, help="key = value defaults file")
@@ -308,6 +310,13 @@ def _cmd_bounds(args):
 
 
 def _cmd_tree(args):
+    # Python before 3.10.7 prints integers of any length
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = args.t * math.log10(max(args.lam, 1) + 1)
+    if limit and (digits > limit + 1 or (
+            digits > limit - 1 and total_nodes(args.t, args.lam) >= 10 ** limit)):
+        raise ConfigError(f"total_nodes (lambda+1)^t has more than {limit} digits, "
+                          "the most an integer may print with")
     record = {"t": args.t, "lambda": args.lam, "n": args.n, "mu": args.mu,
               "ell": args.ell,
               "count_at_distance": count_at_distance(args.t, args.lam, args.ell),

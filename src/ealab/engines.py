@@ -178,11 +178,11 @@ def _make_offspring(rng, masks, n, lam, sampler, fair):
 
 
 def _select(rng, mu, par_masks, par_fits, off_masks, off_fits,
-            comma, offspring_first, want_sources):
+            comma, offspring_first):
     """Keep the best mu candidates; ties per policy.
 
     Returns (masks, fits, sources); sources[j] is the combined index of
-    survivor j (parent i -> i, offspring k -> mu + k), or None when not asked.
+    survivor j (parent i -> i, offspring k -> mu + k).
     Comma selection considers offspring only.
     """
     if comma:
@@ -193,7 +193,7 @@ def _select(rng, mu, par_masks, par_fits, off_masks, off_fits,
 
     new_masks = []
     new_fits = []
-    sources = [] if want_sources else None
+    sources = []
     tie_par = []
     tie_off = []
     if not comma:
@@ -201,16 +201,14 @@ def _select(rng, mu, par_masks, par_fits, off_masks, off_fits,
             if fv > cut:
                 new_masks.append(par_masks[i])
                 new_fits.append(fv)
-                if want_sources:
-                    sources.append(i)
+                sources.append(i)
             elif fv == cut:
                 tie_par.append(i)
     for k, fv in enumerate(off_fits):
         if fv > cut:
             new_masks.append(off_masks[k])
             new_fits.append(fv)
-            if want_sources:
-                sources.append(mu + k)
+            sources.append(mu + k)
         elif fv == cut:
             tie_off.append(k)
 
@@ -222,13 +220,11 @@ def _select(rng, mu, par_masks, par_fits, off_masks, off_fits,
                 if is_par:
                     new_masks.append(par_masks[idx])
                     new_fits.append(par_fits[idx])
-                    if want_sources:
-                        sources.append(idx)
+                    sources.append(idx)
                 else:
                     new_masks.append(off_masks[idx])
                     new_fits.append(off_fits[idx])
-                    if want_sources:
-                        sources.append(mu + idx)
+                    sources.append(mu + idx)
         else:
             if len(tie_off) >= need:
                 chosen_off = rng.sample(tie_off, need)
@@ -239,13 +235,11 @@ def _select(rng, mu, par_masks, par_fits, off_masks, off_fits,
             for k in chosen_off:
                 new_masks.append(off_masks[k])
                 new_fits.append(off_fits[k])
-                if want_sources:
-                    sources.append(mu + k)
+                sources.append(mu + k)
             for i in chosen_par:
                 new_masks.append(par_masks[i])
                 new_fits.append(par_fits[i])
-                if want_sources:
-                    sources.append(i)
+                sources.append(i)
     return new_masks, new_fits, sources
 
 
@@ -490,7 +484,7 @@ class EvolutionState:
         off_fits = [value(m) for m in off_masks]
         new_masks, new_fits, sources = _select(
             self.rng, cfg.mu, self.masks, self.fits, off_masks, off_fits,
-            self._comma, self._offspring_first, True)
+            self._comma, self._offspring_first)
         self.last_parent_idx = parent_idx
         self.last_off_masks = off_masks
         self.last_off_fits = off_fits

@@ -13,11 +13,12 @@ import io
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .bounds import master_bound
-from .engines import (EaConfig, TiePolicy, Variant, check_budget_mult,
-                      iteration_budget, run_batch)
+from .engines import (DEFAULT_BUDGET_MULT, EaConfig, TiePolicy, Variant,
+                      check_budget_mult, iteration_budget, run_batch)
 from .genotype import ConfigError, make_fitness
 from .rng import mix64
 from .stats import SampleStats, summarize
@@ -42,7 +43,7 @@ class SweepSpec:
     tie_policy: TiePolicy = TiePolicy.OFFSPRING_FIRST_RANDOM
     replicates: int = 100
     seed: int = 0
-    budget_mult: float = 10.0
+    budget_mult: float = DEFAULT_BUDGET_MULT
 
     def validate(self) -> None:
         if not (self.ns and self.mus and self.lams):
@@ -165,8 +166,9 @@ def sweep(spec: SweepSpec, workers: int | None = None) -> ExperimentTable:
 class RatioFit:
     """Spread of measured-over-bound ratios across the usable rows of a table.
 
-    Rows with errors, exhausted replicates, or non-finite ratios are excluded;
-    no_data is set when nothing usable remains.
+    Rows with errors, exhausted replicates, or ratios that are not positive
+    and finite are excluded (a zero ratio, where every replicate started at an
+    optimum, has no spread); no_data is set when nothing usable remains.
     """
 
     min_ratio: float
@@ -178,7 +180,7 @@ class RatioFit:
 
 def fit_ratio(table: ExperimentTable) -> RatioFit:
     ratios = [r.ratio for r in table.rows
-              if r.error is None and r.exhausted == 0 and math.isfinite(r.ratio)]
+              if r.error is None and r.exhausted == 0 and 0.0 < r.ratio < math.inf]
     if not ratios:
         nan = float("nan")
         return RatioFit(nan, nan, nan, 0, True)
@@ -205,12 +207,41 @@ class DominanceReport:
     p_value: float
 
 
-def mannwhitneyu(x, y, alternative):
-    """scipy's Mann-Whitney U test, (statistic, p-value). scipy is imported
-    here, not at module level, because it is most of ealab's import time and
-    only dominance comparisons need it."""
-    from scipy.stats import mannwhitneyu as test
-    return test(x, y, alternative=alternative)
+def _u_counts(m: int, n: int) -> list:
+    """Null distribution of U for sample sizes m and n as integer counts:
+    entry k is the coefficient of q^k in the Gaussian binomial [m+n choose m]_q,
+    built as prod_{i=1}^{m} (1 - q^(n+i)) / (1 - q^i), one factor pair at a time."""
+    c = [1] + [0] * (m * n + m)
+    for i in range(1, m + 1):
+        for k in range(i * n + i, n + i - 1, -1):
+            c[k] -= c[k - n - i]
+        for k in range(i, i * n + i + 1):
+            c[k] += c[k - i]
+    return c[:m * n + 1]
+
+
+def mannwhitneyu(x, y):
+    """One-sided Mann-Whitney U test of "x is stochastically smaller than y":
+    (U of x, p-value), with average ranks for ties. The p-value is exact when
+    the smaller sample has at most 8 members and there are no ties; otherwise
+    it is the normal approximation with tie and continuity corrections."""
+    n1, n2 = len(x), len(y)
+    in_x = Counter(x)
+    r1x2 = ties = start = 0           # r1x2 is twice the rank sum of x
+    for v, group in itertools.groupby(sorted(itertools.chain(x, y))):
+        t = sum(1 for _ in group)
+        r1x2 += in_x[v] * (2 * start + t + 1)
+        ties += t ** 3 - t
+        start += t
+    u1 = (r1x2 - n1 * (n1 + 1)) / 2
+    u = n1 * n2 - u1                  # large U of y means small x
+    if min(n1, n2) <= 8 and not ties:
+        counts = _u_counts(min(n1, n2), max(n1, n2))
+        return u1, sum(counts[int(u):]) / math.comb(n1 + n2, n1)
+    n = n1 + n2
+    s = math.sqrt(n1 * n2 / 12 * ((n + 1) - ties / (n * (n - 1))))
+    z = (u - n1 * n2 / 2 - 0.5) / s if s else -math.inf
+    return u1, 0.5 * math.erfc(z / math.sqrt(2))
 
 
 def compare_dominance(config_a: EaConfig, config_b: EaConfig, f,
@@ -227,8 +258,7 @@ def compare_dominance(config_a: EaConfig, config_b: EaConfig, f,
     samples_a = [r.iterations_to_opt for r in runs_a if not r.exhausted]
     samples_b = [r.iterations_to_opt for r in runs_b if not r.exhausted]
     if samples_a and samples_b:
-        u, p = mannwhitneyu(samples_a, samples_b, alternative="less")
-        u, p = float(u), float(p)
+        u, p = mannwhitneyu(samples_a, samples_b)
     else:
         u, p = float("nan"), float("nan")
     mean_diff = stats_a.mean - stats_b.mean

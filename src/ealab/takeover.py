@@ -103,12 +103,16 @@ def measure_takeover(spec: TakeoverSpec) -> SampleStats:
     """
     spec.validate()
     cap = _takeover_cap(spec)
+    once = _takeover_once_marked if spec.i == 0 else _takeover_once
+    return _replicates(spec.seed, spec.replicates, lambda rng: once(rng, spec, cap))
+
+
+def _replicates(seed, replicates, once) -> SampleStats:
+    # replicate r draws from mix64(seed, r); once(rng) returns tau or None
     samples = []
     exhausted = 0
-    for r in range(spec.replicates):
-        rng = random.Random(mix64(spec.seed, r))
-        tau = (_takeover_once_marked(rng, spec, cap) if spec.i == 0
-               else _takeover_once(rng, spec, cap))
+    for r in range(replicates):
+        tau = once(random.Random(mix64(seed, r)))
         if tau is None:
             exhausted += 1
         else:
@@ -178,16 +182,8 @@ def run_ea0(spec: Ea0Spec) -> SampleStats:
     """Sample tau*: first time the desired count reaches j2, starting at j1."""
     spec.validate()
     cap = _ea0_cap(spec)
-    samples = []
-    exhausted = 0
-    for r in range(spec.replicates):
-        rng = random.Random(mix64(spec.seed, r))
-        tau, _ = ea0_once(rng, spec.n, spec.mu, spec.lam, spec.j1, spec.j2, cap)
-        if tau is None:
-            exhausted += 1
-        else:
-            samples.append(tau)
-    return summarize(samples, exhausted)
+    return _replicates(spec.seed, spec.replicates, lambda rng: ea0_once(
+        rng, spec.n, spec.mu, spec.lam, spec.j1, spec.j2, cap)[0])
 
 
 def measure_level_time(config: EaConfig, f, i: int, replicates: int) -> SampleStats:
@@ -206,13 +202,5 @@ def measure_level_time(config: EaConfig, f, i: int, replicates: int) -> SampleSt
         raise ConfigError("replicates must be >= 1")
     cap = resolve_budget(config)
     initial = [i] + [max(i - 1, 0)] * (config.mu - 1)
-    samples = []
-    exhausted = 0
-    for r in range(replicates):
-        rng = random.Random(mix64(config.seed, r))
-        t = evolve_levels(config, rng, initial, cap, 1, i + 1, [], [])
-        if t is None:
-            exhausted += 1
-        else:
-            samples.append(t)
-    return summarize(samples, exhausted)
+    return _replicates(config.seed, replicates, lambda rng: evolve_levels(
+        config, rng, initial, cap, 1, i + 1, [], []))

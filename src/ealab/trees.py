@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,6 +174,9 @@ def verify_p_opt(root: BitString, target: BitString, ell: int,
                      empirical <= bound + 3.0 * sigma)
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class QOptBound:
     """Union bound over optimal labels: raw value and its [0,1] clamp."""
@@ -184,23 +188,27 @@ class QOptBound:
 def q_opt_bound(t: int, n: int, mu: int, lam: int) -> QOptBound:
     """mu * sum_{ell=0}^{t} C(t,ell) (lam/mu)^ell p_opt(ell, n), accumulated in
     log space so neither the binomials nor the tiny p_opt factors overflow or
-    underflow. An exact-rational cross-check is `q_opt_bound_exact`."""
+    underflow; a sum past the float range is reported as inf, clamped to 1.
+    An exact-rational cross-check is `q_opt_bound_exact`."""
     if t < 0 or n < 2 or mu < 1 or lam < 1:
         raise ConfigError("need t >= 0, n >= 2, mu >= 1, lambda >= 1")
     log_ratio = math.log(lam / mu)
     log_mu = math.log(mu)
+    log_comb = 0.0                          # log C(t, ell), one factor at a time
     log_terms = []
     for ell in range(1, t + 1):
+        log_comb += math.log(t - ell + 1) - math.log(ell)
         # log p_opt without going through the (possibly underflowing) float
         if ell >= n - 1:
             log_p = 0.0
         else:
             log_p = (n / 4.0) * (math.log(ell) - math.log(n - 1))
-        log_terms.append(log_mu + math.log(math.comb(t, ell))
-                         + ell * log_ratio + log_p)
+        log_terms.append(log_mu + log_comb + ell * log_ratio + log_p)
     if not log_terms:
         return QOptBound(0.0, 0.0)
     m = max(log_terms)
+    if m > _LOG_FLOAT_MAX:
+        return QOptBound(math.inf, 1.0)
     raw = math.exp(m) * math.fsum(math.exp(x - m) for x in log_terms)
     return QOptBound(raw, min(1.0, raw))
 

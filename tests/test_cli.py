@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -145,46 +146,99 @@ class TestStrictJson:
 
 
 _BUDGET_MULTS = ["nan", "inf", "-1", "0", "0.5", "10"]
+_COMMANDS = ["run", "sweep", "takeover", "ea0", "dominance", "bounds", "tree", "fit"]
+_INT_CELLS = ["0", "1", "-1", "12"]
+_FLOAT_CELLS = ["0", "0.0", "2.5", "-3.5", "nan", "inf"]
+_ODD_CELLS = ["plus", "comma", "fairplus", "", "x"]
+
+
+def _fit_table(draw):
+    # a header that is right or wrong, then rows that are well-formed, short,
+    # long or have a cell of the wrong type
+    header = list(CSV_COLUMNS)
+    if draw(st.integers(0, 3)) == 0:
+        header = draw(st.sampled_from([header[:-1], header[::-1], ["n", "mu"], []]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 2)):
+            cells = [draw(st.sampled_from(
+                ["plus", "comma", "fairplus"] if col == "variant"
+                else _INT_CELLS if col in ("n", "mu", "lambda", "replicates", "exhausted")
+                else _FLOAT_CELLS)) for col in CSV_COLUMNS]
+        else:
+            cells = [draw(st.sampled_from(_INT_CELLS + _FLOAT_CELLS + _ODD_CELLS))
+                     for _ in range(draw(st.integers(0, 14)))]
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode()
 
 
 @st.composite
 def _small_argv(draw):
-    command = draw(st.sampled_from(["run", "sweep", "takeover", "ea0"]))
+    """(argv, table): table is the bytes `fit --in` reads, else None."""
+    command = draw(st.sampled_from(_COMMANDS))
 
     def value(lo, hi, edges=(0, -1)):
         # mostly in [lo, hi], one time in eight an edge value
         return draw(st.integers(lo, hi) if draw(st.integers(0, 7)) else st.sampled_from(edges))
 
+    argv = [command]
+    if command == "fit":
+        argv += ["--in", "TABLE"]
+        if draw(st.integers(0, 3)) == 0:
+            argv += ["--in-format", "json"]
+        return argv + ["--format", draw(st.sampled_from(["csv", "json"]))], _fit_table(draw)
     n, mu = value(2, 40, (0, 1)), value(1, 8)
     lam = mu if draw(st.booleans()) else value(1, 8)
+    if command == "tree":
+        t = value(0, 2000)
+        lam = value(1, 10 ** 5) if draw(st.booleans()) else value(1, 8)
+        argv += ["--t", str(t), "--ell", str(value(0, min(max(t, 0), 40), (-1, t + 1)))]
+        if draw(st.booleans()):
+            argv += ["--samples", str(value(1, 50))]
+        if draw(st.booleans()):
+            argv += ["--hamming", str(value(1, max(n, 1), (0, n + 1)))]
     ns = [n] + ([value(2, 40, (0, 1))] if command == "sweep" and draw(st.booleans()) else [])
-    argv = [command, "--n", ",".join(map(str, ns)), "--mu", str(mu), "--lambda", str(lam),
-            "--replicates", str(value(1, 3)), "--seed", str(draw(st.integers(0, 2 ** 32)))]
+    argv += ["--n", ",".join(map(str, ns)), "--mu", str(mu), "--lambda", str(lam),
+             "--replicates", str(value(1, 3)), "--seed", str(draw(st.integers(0, 2 ** 32)))]
     if draw(st.booleans()):
         argv += ["--budget-mult", draw(st.sampled_from(_BUDGET_MULTS))]
-    if command != "sweep" and draw(st.booleans()):
+    if command in ("run", "takeover", "ea0") and draw(st.booleans()):
         argv += ["--max-iterations", str(draw(st.integers(0, 50)))]
     if draw(st.booleans()):
         argv += ["--workers", str(draw(st.integers(0, 2)))]
     if command in ("run", "sweep"):
         argv += ["--variant", draw(st.sampled_from(["plus", "comma", "fairplus"]))]
-        if draw(st.booleans()):
-            argv += ["--fitness", "multiopt", "--k", str(value(0, 4))]
+    if command == "dominance":
+        for side in ("--variant-a", "--variant-b"):
+            argv += [side, draw(st.sampled_from(["plus", "comma", "fairplus"]))]
+    if command in ("run", "sweep", "dominance") and draw(st.booleans()):
+        argv += ["--fitness", "multiopt", "--k", str(value(0, 4))]
     if command == "takeover":
         argv += ["--i", str(value(0, max(n - 1, 0), (-1, n)))]
     if command in ("takeover", "ea0"):
         j1 = value(1, max(mu - 1, 1))
         argv += ["--j1", str(j1), "--j2", str(value(j1 + 1, max(mu, j1 + 1), (j1, mu + 1)))]
+    if command == "bounds":
+        for flag, lo, hi in (("--j1", 1, mu), ("--j2", 1, mu), ("--i", 0, n), ("--mu0", 1, mu)):
+            if draw(st.booleans()):
+                argv += [flag, str(value(lo, max(lo, hi), (0, -1, hi + 1)))]
     argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
-    return argv
+    return argv, None
 
 
 @given(_small_argv())
-@settings(max_examples=80, deadline=None)
-def test_small_argv_exits_cleanly(argv):
+@settings(max_examples=160, deadline=None)
+def test_small_argv_exits_cleanly(case):
+    argv, table = case
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(argv + ["--out", os.devnull])
+    with tempfile.TemporaryDirectory() as tmp:
+        if table is not None:
+            path = os.path.join(tmp, "table.csv")
+            with open(path, "wb") as fh:
+                fh.write(table)
+            argv = [path if a == "TABLE" else a for a in argv]
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", os.devnull])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
 
@@ -227,6 +281,16 @@ class TestFitPipeline:
         code, _ = _run(tmp_path, "fit", "--in", str(table))
         assert code == 3
 
+    def test_zero_runtime_rows_are_not_fitted(self, tmp_path):
+        # multiopt with k = n: every string is optimal, so every T is 0
+        table = tmp_path / "table.csv"
+        code = main(["sweep", "--n", "10", "--fitness", "multiopt", "--k", "10",
+                     "--replicates", "3", "--out", str(table)])
+        assert code == 0
+        code, data = _run(tmp_path, "fit", "--in", str(table))
+        assert code == 3
+        assert json.loads(data)["rows_used"] == 0
+
 
     def test_short_row_exits_validation(self, tmp_path, capsys):
         table = tmp_path / "short.csv"
@@ -255,6 +319,33 @@ class TestMeasurementCommands:
         rec = json.loads(data)
         assert rec["samples"] == 2000
         assert rec["within"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ("--t", "1100", "--n", "8", "--ell", "1"),
+        ("--t", "70", "--lambda", "100000", "--n", "8", "--ell", "1"),
+    ], ids=["long-horizon", "wide-tree"])
+    def test_tree_bound_past_float_range(self, tmp_path, argv):
+        code, data = _run(tmp_path, "tree", *argv)
+        assert code == 0
+        rec = _strict_json(data)
+        assert rec["q_opt_raw"] is None and rec["q_opt"] == 1.0
+
+    def test_tree_too_many_digits(self, tmp_path, capsys):
+        code, data = _run(tmp_path, "tree", "--t", "15000", "--n", "8",
+                          "--ell", "1", "--mu", "1000")
+        assert code == 2 and data == b""
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="integers print at any length")
+    def test_tree_digit_limit_is_exact(self, tmp_path):
+        # 10^t has t + 1 digits
+        limit = sys.get_int_max_str_digits()
+        ok, _ = _run(tmp_path, "tree", "--t", str(limit - 1), "--lambda", "9",
+                     "--n", "8", "--ell", "1")
+        too_long, _ = _run(tmp_path, "tree", "--t", str(limit), "--lambda", "9",
+                           "--n", "8", "--ell", "1")
+        assert (ok, too_long) == (0, 2)
 
     def test_takeover(self, tmp_path):
         code, data = _run(tmp_path, "takeover", "--n", "10", "--mu", "2",
@@ -300,6 +391,20 @@ class TestSubprocess:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
+
+    def test_runtime_loads_neither_numpy_nor_scipy(self):
+        # ealab needs only the standard library; numpy and scipy are test oracles
+        code = (
+            "import math, sys, ealab.cli\n"
+            "from ealab import EaConfig, OneMax, Variant, compare_dominance, summarize\n"
+            "rep = compare_dominance(EaConfig(10, 2, 2, seed=1),\n"
+            "                        EaConfig(10, 2, 2, Variant.COMMA, seed=2), OneMax(10), 30)\n"
+            "assert math.isfinite(rep.p_value) and summarize([3, 1, 2]).median == 2.0\n"
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_help(self):
         proc = subprocess.run(

@@ -3,13 +3,16 @@
 import dataclasses
 import json
 import math
+import random
 
 import pytest
+import scipy.stats as sps
 
 from ealab import (CSV_COLUMNS, ConfigError, EaConfig, ExperimentRow,
                    ExperimentTable, OneMax, SweepSpec, TiePolicy, Variant,
                    compare_dominance, emit, fit_ratio, master_bound, mix64,
                    parse_table, run_cell, sweep)
+from ealab.harness import mannwhitneyu
 
 
 def _eq(a, b):
@@ -101,6 +104,13 @@ class TestRatioFit:
         assert fit.rows_used == 1
         assert fit.min_ratio == pytest.approx(2.0)
 
+    def test_excludes_zero_ratio(self):
+        # every replicate started at an optimum: T = 0 says nothing about spread
+        fit = fit_ratio(ExperimentTable((_row(0.0, 25.0), _row(50.0, 25.0))))
+        assert fit.rows_used == 1
+        assert fit.spread == 1.0
+        assert fit_ratio(ExperimentTable((_row(0.0, 25.0),))).no_data
+
     def test_no_data(self):
         fit = fit_ratio(ExperimentTable(()))
         assert fit.no_data
@@ -138,6 +148,44 @@ class TestDominance:
         with pytest.raises(ConfigError):
             compare_dominance(EaConfig(20, 2, 4, seed=1),
                               EaConfig(20, 2, 8, seed=2), f, 10)
+
+
+class TestMannWhitney:
+    """The one-sided test against scipy's default method on both branches:
+    exact when the smaller sample has at most 8 members and nothing ties,
+    otherwise the normal approximation with tie and continuity corrections."""
+
+    @staticmethod
+    def _pair(n1, n2, ties, seed):
+        rng = random.Random(seed)
+        if ties:
+            return ([rng.randint(0, 6) for _ in range(n1)],
+                    [rng.randint(1, 7) for _ in range(n2)])
+        values = rng.sample(range(10 ** 6), n1 + n2)
+        shift = rng.choice([0, 10 ** 5])
+        return values[:n1], [v + shift for v in values[n1:]]
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 7), (1, 50), (7, 1), (3, 5),
+                                       (8, 8), (8, 200), (200, 8), (9, 9),
+                                       (9, 40), (60, 45)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_scipy(self, n1, n2, ties, seed):
+        x, y = self._pair(n1, n2, ties, seed)
+        u, p = mannwhitneyu(x, y)
+        ref = sps.mannwhitneyu(x, y, alternative="less")
+        assert u == ref.statistic
+        assert abs(p - ref.pvalue) <= 1e-12 * ref.pvalue
+
+    def test_all_tied(self):
+        u, p = mannwhitneyu([5, 5, 5], [5] * 12)
+        assert (u, p) == (18.0, 1.0)
+
+    def test_direction(self):
+        # every x below every y: U of x is 0 and the p-value is 1 / C(n1+n2, n1)
+        u, p = mannwhitneyu([1, 2, 3], [4, 5, 6, 7])
+        assert (u, p) == (0.0, 1 / 35)
+        assert mannwhitneyu([4, 5, 6, 7], [1, 2, 3]) == (12.0, 1.0)
 
 
 class TestTables:

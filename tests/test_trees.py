@@ -129,6 +129,16 @@ class TestQOpt:
         exact = q_opt_bound_exact(t, n, mu, lam)
         assert raw == pytest.approx(float(exact), rel=1e-9)
 
+    def test_long_horizon_matches_exact_rationals(self):
+        # log C(t, ell) is a running sum over 200 factors
+        raw = q_opt_bound(200, 16, 2, 3).raw
+        assert raw == pytest.approx(float(q_opt_bound_exact(200, 16, 2, 3)), rel=1e-9)
+
+    @pytest.mark.parametrize("t,lam", [(1100, 1), (70, 10 ** 5), (15000, 1)])
+    def test_past_float_range(self, t, lam):
+        b = q_opt_bound(t, 8, 1, lam)
+        assert (b.raw, b.clamped) == (math.inf, 1.0)
+
     def test_equal_counts_direct_sum(self):
         t, n, mu = 5, 8, 3
         direct = mu * sum(math.comb(t, ell) * p_opt(ell, n)
