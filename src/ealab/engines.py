@@ -13,9 +13,38 @@ which of several tied members survives does not change the multiset of
 fitness values, so neither does the tie policy. That multiset is therefore a
 Markov chain with the runtime law of the genotype process. `run`, and with
 it `run_batch`, the sweeps and the dominance comparisons, evolve this chain
-(`evolve_levels`), skipping idle iterations in one draw wherever the whole
-population sits on one level; the takeover module uses it for takeover at
-i >= 1 and for level-leaving times.
+(`evolve_levels`); the takeover module uses it for takeover at i >= 1 and
+for level-leaving times.
+
+One step of the chain draws only the offspring that can enter the
+population, as descending order statistics of the lambda offspring. Under
+plus and comma selection every offspring has the same law: the parent
+mixture M, in which level g weighs c_g / mu (c_g members sit at g). The step
+works in survival space, s = Pr(offspring > value) under M: the best of lam
+offspring has s_1 = 1 - (1 - V A)^(1/lam) for a uniform V, and the others are
+uniform above it, so s_(i+1) = s_i + (1 - s_i)(1 - V'^(1/(lam - i))). Each s
+maps to a value through M's survival function, which is evaluated lazily,
+from the worst value w upwards, and memoised for the iteration.
+
+* Plus: an iteration changes the population only if some offspring beats w,
+  which one offspring does with probability q = Pr_M(offspring > w). The
+  idle iterations before it are skipped in one geometric draw, A = 1 -
+  (1 - q)^lam conditions the best offspring on beating w, and the descent
+  stops at the first offspring that cannot beat the member it would
+  displace (at most mu of them).
+* Comma: A = 1 and exactly mu draws; the population is the best mu. These
+  may fall below w, so M's survival is walked from the bottom of its
+  support, and it is kept for the last 256 populations seen at the same
+  (n, p), which small comma runs revisit over and over.
+* Fairplus: level g has exactly c_g offspring, so each level runs the same
+  descent with its own law and c_g in place of lam. An iteration is idle
+  with probability prod_g (1 - u_g)^c_g, u_g = Pr(offspring of g > w); the
+  first level with a beater is drawn by inversion, conditioned on one, and
+  the levels after it draw unconditionally.
+
+A changing iteration costs O(mu + levels * support), whatever lambda is.
+Level tables (the survival function of one level's offspring) are shared by
+every run at the same (n, p).
 
 `EvolutionState` runs the genotype process one iteration at a time and
 exposes offspring parentage and survivor sources, which the marker takeover
@@ -26,6 +55,7 @@ other fitness object, and tests compare the two engines through it.
 from __future__ import annotations
 
 import math
+import pickle
 import random
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
@@ -37,7 +67,7 @@ from itertools import repeat
 from .bounds import master_bound
 from .genotype import (BitString, ConfigError, MultiOptOneMax, OneMax,
                        UniqueOptGeneric, flip_mask)
-from .rng import _sampler, binomial_pmf, cdf, mix64
+from .rng import _sampler, binomial_pmf, mix64
 
 #: budget applied when EaConfig.max_iterations is None, in multiples of the
 #: master-bound total (rounded up), so sweeps terminate even at adversarial
@@ -243,15 +273,15 @@ def _select(rng, mu, par_masks, par_fits, off_masks, off_fits,
     return new_masks, new_fits, sources
 
 
-@lru_cache(maxsize=4096)
 def _level_table(n: int, p: float, g: int) -> tuple:
     """Offspring-fitness law of a parent at fitness g: g - Bin(g, p) + Bin(n - g, p).
 
-    Returns (lo, cum, u, log_q, up_lo, up_cum). An offspring's fitness is
-    lo + bisect_right(cum, U) for a uniform U; u = Pr(offspring > g) and
-    log_q = log(1 - u); an offspring known to gain has fitness
-    up_lo + bisect_right(up_cum, U). The two binomials come from
-    binomial_pmf directly, so these tables never evict rng's cached samplers.
+    Returns (lo, sur): the offspring is never below lo, and sur[k] is
+    Pr(offspring > lo + k), ending in 0.0 at the top of the support. Each
+    entry is the fsum of the pmf above it over the total mass, so the small
+    upper-tail entries (Pr(gain) is about 1/(en) near the optimum) keep their
+    relative precision. The two binomials come from binomial_pmf directly, so
+    these tables never evict rng's cached samplers.
     """
     l0, loss = _support(binomial_pmf(g, p))
     g0, gain = _support(binomial_pmf(n - g, p))
@@ -262,12 +292,10 @@ def _level_table(n: int, p: float, g: int) -> tuple:
         for b, pb in enumerate(gain):
             off[base + b] += pa * pb
     shift, off = _support(off)
-    lo = g - l0 - top + g0 + shift
-    start = max(0, g + 1 - lo)
-    up = off[start:]
-    u = min(1.0, math.fsum(up))
-    return (lo, cdf(off), u, math.log1p(-u) if u < 1.0 else -math.inf,
-            lo + start, cdf(up, u) if u > 0.0 else None)
+    total = math.fsum(off)
+    sur = [math.fsum(off[k:]) / total for k in range(1, len(off))]
+    sur.append(0.0)
+    return g - l0 - top + g0 + shift, sur
 
 
 def _support(pmf):
@@ -282,16 +310,137 @@ def _support(pmf):
 
 
 class _Tables(dict):
-    """Per-run map from a fitness level to its table, filled on first visit."""
+    """Map from a fitness level to its table, filled on first visit;
+    `mixtures` holds _comma_survival's results, keyed by population."""
 
     def __init__(self, n, p):
         super().__init__()
         self.n = n
         self.p = p
+        self.mixtures = {}
 
     def __missing__(self, g):
         table = self[g] = _level_table(self.n, self.p, g)
         return table
+
+
+@lru_cache(maxsize=16)
+def _tables(n: int, p: float) -> _Tables:
+    """The level tables of (n, p), shared by every run at that (n, p); at most
+    n + 1 tables each, and the 16 most recently used (n, p) are kept."""
+    return _Tables(n, p)
+
+
+def _mixture(parts, v):
+    """Pr(offspring > v) when the parent is a uniformly chosen member: the
+    count-weighted mean of the levels' survival. Exactly 1.0 below every
+    level's support."""
+    s = 0.0
+    mu = 0
+    for c, lo, sur, size in parts:
+        mu += c
+        if v < lo:
+            s += c
+        elif v - lo < size:
+            s += c * sur[v - lo]
+    return s / mu
+
+
+def _parts(tables, fits):
+    """(member count, lo, sur, len(sur)) for each distinct level of the
+    sorted population fits, lowest first."""
+    mu = len(fits)
+    if fits[0] == fits[-1]:
+        lo, sur = tables[fits[0]]
+        return [(mu, lo, sur, len(sur))]
+    parts = []
+    i = 0
+    while i < mu:
+        j = bisect_right(fits, fits[i], i)
+        lo, sur = tables[fits[i]]
+        parts.append((j - i, lo, sur, len(sur)))
+        i = j
+    return parts
+
+
+def _above(parts, w):
+    """(ms, base) with ms[k] = Pr(offspring > base + k) under the parts'
+    mixture for base + k >= w, so ms[w - base] is the chance to beat w.
+
+    A single level whose support covers w reads its table as is; otherwise
+    ms starts at w and _descend extends it upwards on demand.
+    """
+    if len(parts) == 1:
+        lo, sur, size = parts[0][1:]
+        if lo <= w < lo + size:
+            return sur, lo
+    return [_mixture(parts, w)], w
+
+
+#: comma populations whose mixture survival is kept, per (n, p)
+_MIXTURES_KEPT = 256
+
+
+def _comma_survival(tables, fits):
+    """(parts, ms, base) for the sorted population fits under comma
+    selection: its levels (see _parts) and ms[k] = Pr(offspring > base + k)
+    under its parent mixture, with base just below every level's support, so
+    ms[0] = 1.0. _descend extends ms upwards on demand.
+
+    The best offspring can fall anywhere in the support, so its walk starts
+    at the bottom. ms depends on the population alone and is memoised: a
+    population met again, in this run or another at the same (n, p), walks
+    on the values already computed.
+    """
+    key = tuple(fits)
+    hit = tables.mixtures.get(key)
+    if hit is None:
+        if len(tables.mixtures) >= _MIXTURES_KEPT:
+            tables.mixtures.clear()
+        parts = _parts(tables, fits)
+        hit = tables.mixtures[key] = parts, [1.0], min(part[1] for part in parts) - 1
+    return hit
+
+
+def _descend(parts, ms, base, k, s, rr, left, most, out, floor=None):
+    """Append to out the values of up to `most` offspring in descending order.
+
+    ms[k] = Pr(offspring > base + k) (see _above and _comma_survival),
+    extended from parts when the walk passes its end; survival value s is
+    the value x with ms[x - base] <= s < ms[x - base - 1]. The first
+    offspring has survival value s, with s < ms[k - 1]. Each next one is the
+    best of the `left` - i offspring below the i-th, so its survival value
+    is uniform above the last one's. With `floor` (ascending values), the i-th
+    offspring (from 0) is drawn only while it could beat floor[i]; the
+    first that cannot ends the descent, since no later one can either.
+    Without it all `most` are drawn.
+    """
+    top = ms[k - 1]
+    if s >= top:
+        s = math.nextafter(top, 0.0)   # s < top but for rounding
+    size = len(ms)
+    while True:
+        if k == size:
+            ms.append(_mixture(parts, base + k))
+            size += 1
+        if s >= ms[k]:
+            break
+        k += 1
+    out.append(base + k)
+    top = 1.0
+    for i in range(1, most):
+        if floor is not None:
+            if base + k <= floor[i]:
+                return
+            top = ms[floor[i] - base]
+        s += (1.0 - s) * -math.expm1(math.log1p(-rr()) / (left - i))
+        if s >= top:
+            if top < 1.0:
+                return
+            s = math.nextafter(1.0, 0.0)
+        while s >= ms[k - 1]:
+            k -= 1
+        out.append(base + k)
 
 
 def evolve_levels(config: EaConfig, rng, fits, budget: int, k: int, thr: int,
@@ -299,64 +448,98 @@ def evolve_levels(config: EaConfig, rng, fits, budget: int, k: int, thr: int,
     """Run the fitness-level chain of `config` until its k-th best fitness
     reaches thr; the iterations taken, or None when the budget ran out first.
 
-    `fits` holds the mu starting fitness values. Each offspring picks its
-    parent as the variant does and draws its fitness from the parent level's
-    table; selection keeps the best mu values. While every member has the
-    same fitness m under plus or fairplus selection, an iteration changes the
-    population only if some offspring gains, so the idle iterations are
-    skipped in one geometric draw and the changing one starts at the first
-    gaining offspring (the ones before it cannot displace anything). Traces
-    get the starting best value and count, then one entry per iteration.
+    `fits` holds the mu starting fitness values. An iteration draws only the
+    offspring that can enter the population, as descending order statistics
+    of the lambda offspring in survival space (see the module docstring), so
+    it costs O(mu + levels * support) whatever lambda is. Under plus and
+    fairplus selection the idle iterations before the next change are
+    skipped in one draw. Traces get the starting best value and count, then
+    one entry per iteration.
     """
     n, mu, lam = config.n, config.mu, config.lam
     comma = config.variant is Variant.COMMA
     fair = config.variant is Variant.FAIRPLUS
-    tables = _Tables(n, config.p)
+    tables = _tables(n, config.p)
     rr = rng.random
+    log1p, expm1 = math.log1p, math.expm1
     kth = mu - k
     fits = sorted(fits)
     best = fits[-1]
+    count = mu - bisect_left(fits, best)
     ftrace.append(best)
-    ctrace.append(mu - bisect_left(fits, best))
+    ctrace.append(count)
     t = 0
     while fits[kth] < thr:
         if t >= budget:
             return None
-        worst = fits[0]
-        if worst == best and not comma:
-            lo, cum, u, log_q, up_lo, up_cum = tables[worst]
-            x = math.log(1.0 - rr()) / (lam * log_q) if u > 0.0 else math.inf
-            idle = budget - t if x >= budget - t else int(x)
-            ftrace.extend(repeat(best, idle))
-            ctrace.extend(repeat(mu, idle))
-            t += idle
-            if t >= budget:
-                return None
-            # index of the first gaining offspring, given that one gains
-            j = 1 + int(math.log1p(rr() * math.expm1(lam * log_q)) / log_q)
-            offs = [up_lo + bisect_right(up_cum, rr())]
-            for _ in range(lam - min(j, lam)):
-                v = lo + bisect_right(cum, rr())
-                if v > worst:
-                    offs.append(v)
-        else:
-            offs = []
-            for i in range(lam):
-                table = tables[fits[i] if fair else fits[int(rr() * mu)]]
-                v = table[0] + bisect_right(table[1], rr())
-                if comma or v > worst:
-                    offs.append(v)
+        offs = []
         if comma:
-            offs.sort()
-            fits = offs[-mu:]
-        elif offs:
+            # the best mu of lam offspring
+            parts, ms, base = _comma_survival(tables, fits)
+            s = -expm1(log1p(-rr()) / lam)
+            _descend(parts, ms, base, 1, s, rr, lam, mu, offs)
+            offs.reverse()
+            fits = offs
+        else:
+            parts = _parts(tables, fits)
+            w = fits[0]
+            if fair:
+                # level g has its own c_g offspring; per level: part, its
+                # survival ms from base, u = Pr(> w), lg = log Pr(none > w)
+                levels = []
+                log_idle = 0.0
+                for part in parts:
+                    ms, base = _above([part], w)
+                    u = ms[w - base]
+                    lg = part[0] * log1p(-u) if u < 1.0 else -math.inf
+                    levels.append((part, ms, base, u, lg))
+                    log_idle += lg
+            else:
+                ms, base = _above(parts, w)
+                q = ms[w - base]
+                log_idle = lam * log1p(-q) if q < 1.0 else -math.inf
+            # the idle iterations, each one with probability exp(log_idle)
+            x = log1p(-rr()) / log_idle if log_idle < 0.0 else math.inf
+            if x >= 1.0:
+                idle = budget - t if x >= budget - t else int(x)
+                ftrace.extend(repeat(best, idle))
+                ctrace.extend(repeat(count, idle))
+                t += idle
+                if t >= budget:
+                    return None
+            change = -expm1(log_idle)     # Pr(some offspring beats w)
+            if fair:
+                # the first level with a beater, by inverting Pr(a beater
+                # among the levels up to g) = 1 - exp(sum of their lg);
+                # the levels after it draw unconditionally
+                pick = rr() * change
+                acc = 0.0
+                found = False
+                for part, ms, base, u, lg in levels:
+                    c = part[0]
+                    if found:
+                        s = -expm1(log1p(-rr()) / c) if u > 0.0 else 1.0
+                        if s >= u:
+                            continue
+                    else:
+                        acc += lg
+                        if -expm1(acc) <= pick:
+                            continue
+                        found = True
+                        s = -expm1(log1p(-rr() * -expm1(lg)) / c)
+                    _descend([part], ms, base, w + 1 - base, s, rr, c, c, offs, [w] * c)
+            else:
+                s = -expm1(log1p(-rr() * change) / lam)
+                _descend(parts, ms, base, w + 1 - base, s, rr, lam, min(mu, lam),
+                         offs, fits)
             offs += fits
             offs.sort()
             fits = offs[-mu:]
         t += 1
         best = fits[-1]
+        count = mu - bisect_left(fits, best)
         ftrace.append(best)
-        ctrace.append(mu - bisect_left(fits, best))
+        ctrace.append(count)
     return t
 
 
@@ -409,11 +592,22 @@ def _run_one(args):
     return run(replace(config, seed=seed), f)
 
 
+def _run_chunk(jobs):
+    # runs in a pool worker; see run_batch for why the results travel pickled
+    return pickle.dumps([_run_one(job) for job in jobs], pickle.HIGHEST_PROTOCOL)
+
+
 def run_batch(config: EaConfig, f, replicates: int, workers: int | None = None):
     """Independent replicates; replicate r runs with seed mix64(config.seed, r).
 
     Results are keyed by replicate index, so the output is bit-identical for
     any worker count and any scheduling.
+
+    A worker returns each chunk of results as one pickle, which this thread
+    loads. Had the pool's result thread unpickled them, the traces would sit
+    in a per-thread malloc arena whose footprint depends on thread timing:
+    the peak RSS of one and the same batch-pool benchmark run then ranged
+    over 71-93 MB, against 74-76 MB this way.
     """
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
@@ -422,8 +616,12 @@ def run_batch(config: EaConfig, f, replicates: int, workers: int | None = None):
     if workers is not None and workers > 1:
         jobs = [(config, f, s) for s in seeds]
         chunk = max(1, replicates // (workers * 4))
+        chunks = [jobs[i:i + chunk] for i in range(0, replicates, chunk)]
+        results = []
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(_run_one, jobs, chunksize=chunk))
+            for blob in ex.map(_run_chunk, chunks):
+                results += pickle.loads(blob)
+        return results
     return [run(replace(config, seed=s), f) for s in seeds]
 
 

@@ -9,6 +9,7 @@ package and oracle is evidence rather than circularity.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 
@@ -159,3 +160,46 @@ def one_plus_lambda_expected_iterations(n: int, lam: int) -> float:
         expected[i] = (1.0 + sum(w * expected[j] for j, w in up.items())) / q
     weights = [math.comb(n, i) / 2.0 ** n for i in range(n + 1)]
     return sum(w * e for w, e in zip(weights, expected))
+
+
+def _offspring_cdfs(n: int, p: float) -> list:
+    """cdfs[g][v] = P(offspring popcount <= v) for a parent at popcount g."""
+    cdfs = []
+    for g in range(n + 1):
+        acc, cdf = 0.0, []
+        for v in range(n + 1):
+            acc += onemax_transition(n, g, v, p)
+            cdf.append(acc)
+        cdf[-1] = 1.0
+        cdfs.append(cdf)
+    return cdfs
+
+
+_CDFS = {}
+
+
+def per_offspring_levels(n: int, mu: int, lam: int, comma: bool, rng, fits) -> int:
+    """Iterations until the count-of-ones population first holds the
+    optimum, stepping the fitness-level chain one offspring at a time.
+
+    Every iteration draws all lam offspring: a parent chosen uniformly from
+    the mu members, then the offspring's popcount by inversion of that
+    parent's transition cdf. Plus-selection keeps the best mu of parents and
+    offspring, comma-selection the best mu of the offspring.
+    """
+    key = (n, 1.0 / n)
+    if key not in _CDFS:
+        _CDFS[key] = _offspring_cdfs(n, 1.0 / n)
+    cdfs = _CDFS[key]
+    rr = rng.random
+    fits = sorted(fits)
+    t = 0
+    while fits[-1] < n:
+        offs = []
+        for _ in range(lam):
+            offs.append(bisect_right(cdfs[fits[int(rr() * mu)]], rr()))
+        pool = offs if comma else offs + fits
+        pool.sort()
+        fits = pool[-mu:]
+        t += 1
+    return t

@@ -85,6 +85,13 @@ class TestRun:
         assert code == 0
         assert data.decode().splitlines()[1].startswith("1030,2,2,plus,1,")
 
+    def test_million_offspring_runs(self, tmp_path):
+        # the third term of the bound dominates out here
+        code, data = _run(tmp_path, "run", "--n", "1024", "--mu", "1",
+                          "--lambda", "1000000", "--replicates", "2")
+        assert code == 0
+        assert data.decode().splitlines()[1].startswith("1024,1,1000000,plus,2,")
+
 
 class TestSweep:
     def test_grid_rows(self, tmp_path):

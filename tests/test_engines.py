@@ -15,6 +15,7 @@ from ealab import (BitString, ConfigError, EaConfig, EvolutionState,
                    UniqueOptGeneric, Variant, compare_dominance,
                    measure_level_time, measure_takeover, mix64,
                    resolve_budget, run, run_batch)
+from ealab import engines
 from ealab.engines import _level_table, evolve_levels
 
 import oracles
@@ -144,6 +145,12 @@ class TestBatchExecution:
         parallel = run_batch(cfg, f, 8, workers=2)
         assert serial == parallel
 
+    def test_uneven_chunks_keep_replicate_order(self):
+        # 37 replicates over 3 workers: chunks of 3, the last one short
+        cfg = EaConfig(12, 3, 4, Variant.COMMA, seed=5)
+        f = OneMax(12)
+        assert run_batch(cfg, f, 37, workers=3) == run_batch(cfg, f, 37)
+
     def test_replicate_validation(self):
         with pytest.raises(ConfigError):
             run_batch(EaConfig(10, 1, 1), OneMax(10), 0)
@@ -241,6 +248,16 @@ def _means_agree(stats, reference):
     return abs(stats.mean - sum(reference) / len(reference)) <= 4 * se
 
 
+class _CountingRandom(random.Random):
+    """random.Random that counts its random() calls."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
 def _times(results):
     return [r.iterations_to_opt for r in results if not r.exhausted]
 
@@ -280,6 +297,10 @@ class TestLumpedEngine:
         (10, 2, 2, Variant.FAIRPLUS, TiePolicy.OFFSPRING_FIRST_RANDOM),
         (12, 4, 4, Variant.FAIRPLUS, TiePolicy.UNIFORM_RANDOM),
         (16, 3, 3, Variant.FAIRPLUS, TiePolicy.OFFSPRING_FIRST_RANDOM),
+        # mixed plus populations, comma with lambda >> mu, mixed fairplus
+        (14, 3, 48, Variant.PLUS, TiePolicy.OFFSPRING_FIRST_RANDOM),
+        (12, 2, 64, Variant.COMMA, TiePolicy.UNIFORM_RANDOM),
+        (16, 6, 6, Variant.FAIRPLUS, TiePolicy.OFFSPRING_FIRST_RANDOM),
     ]
 
     @pytest.mark.parametrize("n,mu,lam,variant,tie", SHAPES)
@@ -344,16 +365,16 @@ class TestLumpedEngine:
         p = 1.0 if c == "n" else min(1.0, c / n)
         for g in range(n + 1):
             exact = _exact_offspring_pmf(n, p, g)
-            lo, cum, u, log_q, up_lo, up_cum = _level_table(n, p, g)
-            got = _table_pmf(lo, cum, n)
+            lo, sur = _level_table(n, p, g)
+            assert sur[-1] == 0.0
+            assert all(a >= b for a, b in zip(sur, sur[1:]))
+            got = _table_pmf(lo, [1.0 - s for s in sur], n)
             assert all(abs(a - float(b)) <= 1e-12 for a, b in zip(got, exact))
-            gain = sum(exact[g + 1:])
-            assert abs(u - float(gain)) <= 1e-12
-            if gain:
-                assert u == 1.0 or math.isclose(log_q, math.log1p(-u))
-                cond = _table_pmf(up_lo, up_cum, n)
-                assert all(abs(a - float(b / gain)) <= 1e-12 if k > g else a == 0.0
-                           for k, (a, b) in enumerate(zip(cond, exact)))
+            # survival: Pr(offspring > lo + k), and Pr(gain) read at g
+            assert all(abs(s - float(sum(exact[lo + k + 1:]))) <= 1e-12
+                       for k, s in enumerate(sur))
+            u = 1.0 if g < lo else sur[g - lo] if g - lo < len(sur) else 0.0
+            assert abs(u - float(sum(exact[g + 1:]))) <= 1e-12
 
     @pytest.mark.parametrize("n,mu,lam,m,seed", [(10, 1, 8, 3, 25), (12, 2, 3, 9, 26)])
     def test_idle_skip_step_is_exact(self, n, mu, lam, m, seed):
@@ -390,6 +411,82 @@ class TestLumpedEngine:
         mean = sum(ts) / reps
         se = math.sqrt(sps.tvar(ts) / reps)
         assert abs(mean - oracles.one_plus_lambda_expected_iterations(n, lam)) <= 4 * se
+
+    def test_gain_keeps_relative_precision_at_large_n(self):
+        # one zero left: the only gain flips it and nothing else
+        n = 10 ** 5
+        p = 1.0 / n
+        lo, sur = _level_table(n, p, n - 1)
+        exact = p * math.exp((n - 1) * math.log1p(-p))
+        assert abs(sur[n - 1 - lo] - exact) <= 1e-12 * exact
+
+    def test_one_plus_large_lambda_matches_chain(self):
+        n, lam, reps = 20, 4096, 4000
+        results = run_batch(EaConfig(n, 1, lam, seed=27), OneMax(n), reps)
+        ts = _times(results)
+        assert len(ts) == reps
+        se = math.sqrt(sps.tvar(ts) / reps)
+        expected = oracles.one_plus_lambda_expected_iterations(n, lam)
+        assert abs(sum(ts) / reps - expected) <= 4 * se
+
+    @pytest.mark.parametrize("variant", [Variant.PLUS, Variant.COMMA])
+    def test_matches_per_offspring_loop(self, variant):
+        # every one of the lambda offspring drawn, against the order statistics
+        n, mu, lam, reps = 64, 8, 4096, 100
+        lumped = _times(run_batch(EaConfig(n, mu, lam, variant, seed=28), OneMax(n), reps))
+        reference = []
+        for r in range(reps):
+            rng = random.Random(mix64(29, r))
+            fits = [oracles.popcount_slow(rng.getrandbits(n)) for _ in range(mu)]
+            reference.append(oracles.per_offspring_levels(
+                n, mu, lam, variant is Variant.COMMA, rng, fits))
+        assert len(lumped) == reps
+        assert _agree(lumped, reference)
+
+    @pytest.mark.parametrize("mu,lam", [(1, 10 ** 6), (8, 10 ** 5)])
+    def test_draws_do_not_grow_with_lambda(self, mu, lam):
+        # a changing iteration draws at most mu + 1 uniforms, whatever lambda is
+        n = 256
+        rng = _CountingRandom(30)
+        fits = [rng.getrandbits(n).bit_count() for _ in range(mu)]
+        t = evolve_levels(EaConfig(n, mu, lam), rng, fits, 10 ** 9, 1, n, [], [])
+        assert t >= 1
+        assert rng.calls <= (2 * mu + 4) * t
+
+    def test_level_tables_outlive_a_replicate(self, monkeypatch):
+        # a (1+1) run at n = 10^4 visits more levels than the old 4096-entry
+        # cache held; the levels stay cached, so repeating it builds nothing
+        builds = []
+        build = engines._level_table
+        monkeypatch.setattr(engines, "_level_table",
+                            lambda *args: builds.append(args) or build(*args))
+        engines._tables.cache_clear()
+        cfg = EaConfig(10 ** 4, 1, 1, seed=31)
+        first = run(cfg, OneMax(10 ** 4))
+        assert len(builds) > 4096
+        builds.clear()
+        assert run(cfg, OneMax(10 ** 4)) == first
+        assert builds == []
+
+    def test_cached_comma_mixtures_change_nothing(self):
+        # comma populations keep their mixture survival across runs
+        cfg = EaConfig(12, 2, 6, Variant.COMMA, seed=33)
+        run_batch(cfg, OneMax(12), 50)
+        warm = run_batch(cfg, OneMax(12), 50)
+        engines._tables.cache_clear()
+        assert run_batch(cfg, OneMax(12), 50) == warm
+
+    @pytest.mark.parametrize("c", [11.0, 12.0])
+    @pytest.mark.parametrize("variant,mu,lam", [
+        (Variant.PLUS, 1, 4), (Variant.PLUS, 4, 4),
+        (Variant.COMMA, 4, 40), (Variant.FAIRPLUS, 4, 4),
+    ])
+    def test_runs_when_no_level_keeps_its_value(self, variant, mu, lam, c):
+        # at c close to n a level's support can end below the worst member
+        cfg = EaConfig(12, mu, lam, variant, c=c, max_iterations=50, seed=32)
+        for res in run_batch(cfg, OneMax(12), 50):
+            t = 50 if res.exhausted else res.iterations_to_opt
+            assert len(res.best_fitness_trace) == t + 1
 
     def test_large_n_finishes(self):
         n = 10 ** 5
