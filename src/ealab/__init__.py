@@ -7,8 +7,8 @@ from .bounds import (BoundReport, FAST_REGIME, PhaseParams, bernoulli_lb,
                      level_bound_general, log_plus, master_bound,
                      min_level_bound_general, multbin_lb_check, phase_params,
                      sudholt_bound, takeover_bound_fast, takeover_bound_general)
-from .engines import (EaConfig, EvolutionState, Population, RunResult,
-                      TiePolicy, Variant, resolve_budget, run, run_batch)
+from .engines import (EaConfig, EvolutionState, RunResult, Variant,
+                      resolve_budget, run, run_batch)
 from .genotype import (BitString, ConfigError, MultiOptOneMax, OneMax,
                        UniqueOptGeneric, evaluate, is_optimal, make_fitness,
                        mutate)
@@ -32,9 +32,9 @@ __all__ = [
     "CompleteTreeSpec", "ConfigError", "DominanceReport", "Ea0Spec",
     "EaConfig", "EvolutionState", "ExperimentRow", "ExperimentTable",
     "FAST_REGIME", "FamilyTreeResult", "MultiOptOneMax", "OneMax",
-    "POptCheck", "PhaseParams", "Population", "QOptBound", "RatioFit",
-    "RunResult", "SampleStats", "SweepSpec", "TakeoverSpec", "TiePolicy",
-    "UniqueOptGeneric", "Variant", "bernoulli_lb", "build_complete_tree",
+    "POptCheck", "PhaseParams", "QOptBound", "RatioFit", "RunResult",
+    "SampleStats", "SweepSpec", "TakeoverSpec", "UniqueOptGeneric",
+    "Variant", "bernoulli_lb", "build_complete_tree",
     "compare_dominance", "count_at_distance", "ea0_growth_lb", "ea0_once",
     "emit", "evaluate", "fit_ratio", "fitness_level_sum", "is_optimal",
     "level_bound_fast", "level_bound_general", "log_plus", "make_fitness",

@@ -24,8 +24,7 @@ from .bounds import (FAST_REGIME, ea0_growth_lb, level_bound_fast,
                      level_bound_general, master_bound, min_level_bound_general,
                      phase_params, sudholt_bound, takeover_bound_fast,
                      takeover_bound_general)
-from .engines import (DEFAULT_BUDGET_MULT, EaConfig, TiePolicy, Variant,
-                      iteration_budget)
+from .engines import DEFAULT_BUDGET_MULT, EaConfig, Variant, iteration_budget
 from .genotype import BitString, ConfigError, make_fitness
 from .harness import (ExperimentTable, SweepSpec, compare_dominance, emit,
                       fit_ratio, json_bytes, parse_table, run_cell, sweep)
@@ -38,8 +37,6 @@ EXIT_VALIDATION = 2
 EXIT_EXHAUSTED = 3
 
 _VARIANTS = {v.value: v for v in Variant}
-_TIES = {"offspring-first": TiePolicy.OFFSPRING_FIRST_RANDOM,
-         "uniform": TiePolicy.UNIFORM_RANDOM}
 
 
 def _int_list(text: str):
@@ -70,14 +67,20 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _common(sp: argparse.ArgumentParser, replicates_default: int):
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--replicates", type=int, default=replicates_default)
+def _common(sp: argparse.ArgumentParser, seed=False, replicates=None, batch=False):
+    """--out, --format and --config, which every command takes, plus the
+    flags its handler reads: --seed, --replicates when given a default, and
+    with batch --budget-mult and --workers."""
+    if seed:
+        sp.add_argument("--seed", type=int, default=0)
+    if replicates is not None:
+        sp.add_argument("--replicates", type=int, default=replicates)
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
-    sp.add_argument("--budget-mult", type=float, default=DEFAULT_BUDGET_MULT,
-                    help="iteration budget as a multiple of the bound total")
-    sp.add_argument("--workers", type=int, default=None)
+    if batch:
+        sp.add_argument("--budget-mult", type=float, default=DEFAULT_BUDGET_MULT,
+                        help="iteration budget as a multiple of the bound total")
+        sp.add_argument("--workers", type=int, default=None)
     sp.add_argument("--config", default=None, help="key = value defaults file")
 
 
@@ -90,7 +93,6 @@ def _engine_args(sp, list_valued=False):
     sp.add_argument("--variant", choices=sorted(_VARIANTS), default="plus")
     sp.add_argument("--c", type=float, default=1.0,
                     help="mutation probability scale, p = c/n")
-    sp.add_argument("--tie", choices=sorted(_TIES), default="offspring-first")
     sp.add_argument("--fitness", choices=["onemax", "multiopt"], default="onemax")
     sp.add_argument("--k", type=int, default=None,
                     help="zero budget for the multiopt benchmark")
@@ -106,11 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("run", help="replicated runs of one configuration")
     _engine_args(sp)
     sp.add_argument("--max-iterations", type=int, default=None)
-    _common(sp, replicates_default=1)
+    _common(sp, seed=True, replicates=1, batch=True)
 
     sp = sub.add_parser("sweep", help="grid of configurations, one table row each")
     _engine_args(sp, list_valued=True)
-    _common(sp, replicates_default=100)
+    _common(sp, seed=True, replicates=100, batch=True)
 
     sp = sub.add_parser("takeover", help="plateau takeover time of fit members")
     sp.add_argument("--n", type=int, required=True)
@@ -121,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--j2", type=int, default=None, help="target fit count (default mu)")
     sp.add_argument("--c", type=float, default=1.0)
     sp.add_argument("--max-iterations", type=int, default=None)
-    _common(sp, replicates_default=1000)
+    _common(sp, seed=True, replicates=1000)
 
     sp = sub.add_parser("ea0", help="copy-only growth process from j1 to j2")
     sp.add_argument("--n", type=int, required=True)
@@ -130,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--j1", type=int, default=1)
     sp.add_argument("--j2", type=int, default=None, help="target count (default mu)")
     sp.add_argument("--max-iterations", type=int, default=None)
-    _common(sp, replicates_default=1000)
+    _common(sp, seed=True, replicates=1000)
 
     sp = sub.add_parser("bounds", help="closed-form bounds for a configuration")
     sp.add_argument("--n", type=int, required=True)
@@ -141,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--i", type=int, default=None, help="fitness level for level bounds")
     sp.add_argument("--mu0", type=int, default=None,
                     help="fit-count parameter (default: best by scan)")
-    _common(sp, replicates_default=1)
+    _common(sp)
 
     sp = sub.add_parser("tree", help="lineage-tree counts and label bounds")
     sp.add_argument("--t", type=int, required=True)
@@ -153,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="Monte Carlo samples for the hit-rate check (0 = skip)")
     sp.add_argument("--hamming", type=int, default=None,
                     help="root-to-target distance (default ceil(n/4))")
-    _common(sp, replicates_default=1)
+    _common(sp, seed=True)
 
     sp = sub.add_parser("dominance", help="compare two variants at equal n, mu, lambda")
     sp.add_argument("--n", type=int, required=True)
@@ -162,15 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--variant-a", choices=sorted(_VARIANTS), default="plus")
     sp.add_argument("--variant-b", choices=sorted(_VARIANTS), default="comma")
     sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--tie", choices=sorted(_TIES), default="offspring-first")
     sp.add_argument("--fitness", choices=["onemax", "multiopt"], default="onemax")
     sp.add_argument("--k", type=int, default=None)
-    _common(sp, replicates_default=1000)
+    _common(sp, seed=True, replicates=1000, batch=True)
 
     sp = sub.add_parser("fit", help="bound-ratio spread of an existing table")
     sp.add_argument("--in", dest="in_path", required=True)
     sp.add_argument("--in-format", choices=["csv", "json"], default="csv")
-    _common(sp, replicates_default=1)
+    _common(sp)
 
     return parser
 
@@ -225,7 +226,7 @@ def _budget(args) -> int:
 
 def _cmd_run(args):
     config = EaConfig(args.n, args.mu, args.lam, _VARIANTS[args.variant],
-                      args.c, _TIES[args.tie], _budget(args), args.seed)
+                      args.c, _budget(args), args.seed)
     f = make_fitness(args.fitness, args.n, k=args.k)
     row = run_cell(config, f, args.replicates, args.workers)
     code = EXIT_EXHAUSTED if row.exhausted == args.replicates else EXIT_OK
@@ -235,9 +236,8 @@ def _cmd_run(args):
 def _cmd_sweep(args):
     spec = SweepSpec(ns=args.n, mus=args.mu, lams=args.lam,
                      variant=_VARIANTS[args.variant], fitness=args.fitness,
-                     k=args.k, c=args.c, tie_policy=_TIES[args.tie],
-                     replicates=args.replicates, seed=args.seed,
-                     budget_mult=args.budget_mult)
+                     k=args.k, c=args.c, replicates=args.replicates,
+                     seed=args.seed, budget_mult=args.budget_mult)
     table = sweep(spec, workers=args.workers)
     valid = [r for r in table.rows if r.error is None]
     if not valid:
@@ -345,9 +345,9 @@ def _cmd_tree(args):
 def _cmd_dominance(args):
     budget = _budget(args)
     config_a = EaConfig(args.n, args.mu, args.lam, _VARIANTS[args.variant_a],
-                        args.c, _TIES[args.tie], budget, mix64(args.seed, 1))
+                        args.c, budget, mix64(args.seed, 1))
     config_b = EaConfig(args.n, args.mu, args.lam, _VARIANTS[args.variant_b],
-                        args.c, _TIES[args.tie], budget, mix64(args.seed, 2))
+                        args.c, budget, mix64(args.seed, 2))
     f = make_fitness(args.fitness, args.n, k=args.k)
     report = compare_dominance(config_a, config_b, f, args.replicates, args.workers)
     record = {"n": args.n, "mu": args.mu, "lambda": args.lam,

@@ -9,9 +9,9 @@ On the three benchmarks (OneMax, MultiOptOneMax, UniqueOptGeneric) an
 offspring's fitness depends only on its parent's fitness: it is
 g - Bin(g, p) + Bin(n - g, p) for a parent at fitness g, counting agreements
 with the target for UniqueOptGeneric. Selection looks only at fitness, and
-which of several tied members survives does not change the multiset of
-fitness values, so neither does the tie policy. That multiset is therefore a
-Markov chain with the runtime law of the genotype process. `run`, and with
+prefers offspring on ties; which of several tied members survives cannot
+change the multiset of fitness values. That multiset is therefore a Markov
+chain with the runtime law of the genotype process. `run`, and with
 it `run_batch`, the sweeps and the dominance comparisons, evolve this chain
 (`evolve_levels`); the takeover module uses it for takeover at i >= 1 and
 for level-leaving times.
@@ -55,6 +55,7 @@ other fitness object, and tests compare the two engines through it.
 from __future__ import annotations
 
 import math
+import os
 import pickle
 import random
 from bisect import bisect_left, bisect_right
@@ -65,8 +66,8 @@ from functools import lru_cache
 from itertools import repeat
 
 from .bounds import master_bound
-from .genotype import (BitString, ConfigError, MultiOptOneMax, OneMax,
-                       UniqueOptGeneric, flip_mask)
+from .genotype import (ConfigError, MultiOptOneMax, OneMax, UniqueOptGeneric,
+                       flip_mask)
 from .rng import _sampler, binomial_pmf, mix64
 
 #: budget applied when EaConfig.max_iterations is None, in multiples of the
@@ -84,13 +85,6 @@ class Variant(Enum):
     FAIRPLUS = "fairplus"
 
 
-class TiePolicy(Enum):
-    # prefer offspring over parents, break remaining ties uniformly
-    OFFSPRING_FIRST_RANDOM = "offspring-first-random"
-    # break all ties uniformly over parents and offspring together
-    UNIFORM_RANDOM = "uniform-random"
-
-
 @dataclass(frozen=True)
 class EaConfig:
     """Full run specification. p = c/n is the per-bit mutation probability."""
@@ -100,7 +94,6 @@ class EaConfig:
     lam: int
     variant: Variant = Variant.PLUS
     c: float = 1.0
-    tie_policy: TiePolicy = TiePolicy.OFFSPRING_FIRST_RANDOM
     max_iterations: int | None = None
     seed: int = 0
 
@@ -150,22 +143,6 @@ def resolve_budget(config: EaConfig) -> int:
 
 
 @dataclass(frozen=True)
-class Population:
-    """Multiset of (genotype, cached fitness) pairs of size mu."""
-
-    members: tuple
-
-    def __len__(self):
-        return len(self.members)
-
-    def best(self):
-        return max(self.members, key=lambda m: m[1])
-
-    def fitness_values(self):
-        return [fit for _, fit in self.members]
-
-
-@dataclass(frozen=True)
 class RunResult:
     """Outcome of one run.
 
@@ -207,9 +184,9 @@ def _make_offspring(rng, masks, n, lam, sampler, fair):
     return off_masks, parent_idx
 
 
-def _select(rng, mu, par_masks, par_fits, off_masks, off_fits,
-            comma, offspring_first):
-    """Keep the best mu candidates; ties per policy.
+def _select(rng, mu, par_masks, par_fits, off_masks, off_fits, comma):
+    """Keep the best mu candidates; on ties offspring go first, each group
+    sampled uniformly.
 
     Returns (masks, fits, sources); sources[j] is the combined index of
     survivor j (parent i -> i, offspring k -> mu + k).
@@ -244,32 +221,20 @@ def _select(rng, mu, par_masks, par_fits, off_masks, off_fits,
 
     need = mu - len(new_masks)
     if need:
-        if comma or not offspring_first:
-            pool = [(1, i) for i in tie_par] + [(0, k) for k in tie_off]
-            for is_par, idx in rng.sample(pool, need):
-                if is_par:
-                    new_masks.append(par_masks[idx])
-                    new_fits.append(par_fits[idx])
-                    sources.append(idx)
-                else:
-                    new_masks.append(off_masks[idx])
-                    new_fits.append(off_fits[idx])
-                    sources.append(mu + idx)
+        if len(tie_off) >= need:
+            chosen_off = rng.sample(tie_off, need)
+            chosen_par = []
         else:
-            if len(tie_off) >= need:
-                chosen_off = rng.sample(tie_off, need)
-                chosen_par = []
-            else:
-                chosen_off = tie_off
-                chosen_par = rng.sample(tie_par, need - len(tie_off))
-            for k in chosen_off:
-                new_masks.append(off_masks[k])
-                new_fits.append(off_fits[k])
-                sources.append(mu + k)
-            for i in chosen_par:
-                new_masks.append(par_masks[i])
-                new_fits.append(par_fits[i])
-                sources.append(i)
+            chosen_off = tie_off
+            chosen_par = rng.sample(tie_par, need - len(tie_off))
+        for k in chosen_off:
+            new_masks.append(off_masks[k])
+            new_fits.append(off_fits[k])
+            sources.append(mu + k)
+        for i in chosen_par:
+            new_masks.append(par_masks[i])
+            new_fits.append(par_fits[i])
+            sources.append(i)
     return new_masks, new_fits, sources
 
 
@@ -608,6 +573,9 @@ def run_batch(config: EaConfig, f, replicates: int, workers: int | None = None):
     in a per-thread malloc arena whose footprint depends on thread timing:
     the peak RSS of one and the same batch-pool benchmark run then ranged
     over 71-93 MB, against 74-76 MB this way.
+
+    A fork-started pool forks all its workers at the first submit, so the
+    pool never has more workers than chunks or CPUs.
     """
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
@@ -618,7 +586,8 @@ def run_batch(config: EaConfig, f, replicates: int, workers: int | None = None):
         chunk = max(1, replicates // (workers * 4))
         chunks = [jobs[i:i + chunk] for i in range(0, replicates, chunk)]
         results = []
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        size = min(workers, len(chunks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=size) as ex:
             for blob in ex.map(_run_chunk, chunks):
                 results += pickle.loads(blob)
         return results
@@ -629,7 +598,7 @@ class EvolutionState:
     """Stepwise engine used by instrumented experiments.
 
     After each step() the previous iteration's internals are exposed:
-    last_parent_idx[k] is the parent of offspring k, last_off_masks/fits the
+    last_parent_idx[k] is the parent of offspring k, last_off_masks the
     offspring, and last_sources[j] the combined index (parent i -> i,
     offspring k -> mu + k) that survivor j came from. Wrappers use these to
     carry per-member metadata (markers, ancestry depths) across selection.
@@ -657,11 +626,9 @@ class EvolutionState:
         self._sampler = _sampler(n, config.c / n)
         self._comma = config.variant is Variant.COMMA
         self._fair = config.variant is Variant.FAIRPLUS
-        self._offspring_first = config.tie_policy is TiePolicy.OFFSPRING_FIRST_RANDOM
         self.iteration = 0
         self.last_parent_idx = None
         self.last_off_masks = None
-        self.last_off_fits = None
         self.last_sources = None
 
     @property
@@ -682,16 +649,10 @@ class EvolutionState:
         off_fits = [value(m) for m in off_masks]
         new_masks, new_fits, sources = _select(
             self.rng, cfg.mu, self.masks, self.fits, off_masks, off_fits,
-            self._comma, self._offspring_first)
+            self._comma)
         self.last_parent_idx = parent_idx
         self.last_off_masks = off_masks
-        self.last_off_fits = off_fits
         self.last_sources = sources
         self.masks = new_masks
         self.fits = new_fits
         self.iteration += 1
-
-    def population(self) -> Population:
-        n = self.config.n
-        return Population(tuple((BitString(n, m), fit)
-                                for m, fit in zip(self.masks, self.fits)))

@@ -17,8 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .bounds import master_bound
-from .engines import (DEFAULT_BUDGET_MULT, EaConfig, TiePolicy, Variant,
-                      check_budget_mult, iteration_budget, run_batch)
+from .engines import (DEFAULT_BUDGET_MULT, EaConfig, Variant, check_budget_mult,
+                      iteration_budget, run_batch)
 from .genotype import ConfigError, make_fitness
 from .rng import mix64
 from .stats import SampleStats, summarize
@@ -40,7 +40,6 @@ class SweepSpec:
     fitness: str = "onemax"
     k: int | None = None                      # multiopt zero-budget
     c: float = 1.0
-    tie_policy: TiePolicy = TiePolicy.OFFSPRING_FIRST_RANDOM
     replicates: int = 100
     seed: int = 0
     budget_mult: float = DEFAULT_BUDGET_MULT
@@ -144,21 +143,17 @@ def sweep(spec: SweepSpec, workers: int | None = None) -> ExperimentTable:
     spec.validate()
     rows = []
     for idx, (n, mu, lam) in enumerate(spec.cells()):
-        cell_seed = mix64(spec.seed, idx)
         try:
             f = make_fitness(spec.fitness, n, k=spec.k)
-            bound = master_bound(n, mu, lam).total
             budget = iteration_budget(spec.budget_mult, n, mu, lam)
-            config = EaConfig(n, mu, lam, spec.variant, spec.c,
-                              spec.tie_policy, budget, cell_seed)
+            config = EaConfig(n, mu, lam, spec.variant, spec.c, budget,
+                              mix64(spec.seed, idx))
             config.validate()
         except ConfigError as exc:
             rows.append(_error_row(n, mu, lam, spec.variant,
                                    spec.replicates, str(exc)))
             continue
-        stats = summarize_runs(run_batch(config, f, spec.replicates, workers))
-        rows.append(_stats_row(n, mu, lam, spec.variant, spec.replicates,
-                               stats, bound))
+        rows.append(run_cell(config, f, spec.replicates, workers))
     return ExperimentTable(tuple(rows))
 
 

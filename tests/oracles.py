@@ -75,7 +75,7 @@ def two_member_takeover_mean(n: int = 10, i: int = 5) -> float:
     ejected and the second slot holds some popcount-(i-1) string, whose
     mutation law is the same by exchangeability. Success probability is
     therefore constant across iterations and the takeover time geometric.
-    Success itself does not depend on the tie policy: it only needs one
+    Success itself does not depend on how ties are broken: it only needs one
     offspring at fitness >= i, which then survives next to the fit parent.
     """
     p = Fraction(1, n)

@@ -1,19 +1,25 @@
 """Command-line surface: exit codes, formats, config files, piping."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ealab import CSV_COLUMNS
-from ealab.cli import main
+from ealab.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _run(tmp_path, *argv):
@@ -152,8 +158,64 @@ class TestStrictJson:
         assert rec["completed"] == 0 and rec["mean"] is None
 
 
+_BASE_ARGV = {"run": ("--n", "10"), "sweep": ("--n", "10"),
+              "dominance": ("--n", "10"),
+              "takeover": ("--n", "10", "--mu", "2", "--lambda", "2"),
+              "ea0": ("--n", "10", "--mu", "2", "--lambda", "2"),
+              "bounds": ("--n", "10"), "tree": ("--n", "8", "--t", "2", "--ell", "1"),
+              "fit": ("--in", "table.csv")}
+
+
+#: flags a command does not take, though it once accepted them
+_UNREAD = [(c, "--tie") for c in ("run", "sweep", "dominance")] + [
+    (c, f) for c, flags in (
+        ("takeover", ("--budget-mult", "--workers")),
+        ("ea0", ("--budget-mult", "--workers")),
+        ("bounds", ("--seed", "--replicates", "--budget-mult", "--workers")),
+        ("tree", ("--replicates", "--budget-mult", "--workers")),
+        ("fit", ("--seed", "--replicates", "--budget-mult", "--workers")))
+    for f in flags]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command,flag", _UNREAD, ids=[f"{c} {f}" for c, f in _UNREAD])
+    def test_unread_flag_exits_validation(self, tmp_path, capsys, command, flag):
+        value = "offspring-first" if flag == "--tie" else "1"
+        code, data = _run(tmp_path, command, *_BASE_ARGV[command], flag, value)
+        assert code == 2 and data == b""
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
+
+    def test_readme_commands_parse(self):
+        # the README's command block may only show flags the parser accepts
+        block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+        lines = [line for line in block.split("```", 2)[1].splitlines()
+                 if line.startswith("ealab ")]
+        assert len(lines) >= 8
+        parser = build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
+
+    def test_readme_flag_list_matches_parser(self):
+        # each "- `command`: `--flag ...`" line lists exactly the command's
+        # flags besides --out, --format and --config
+        text = README.read_text(encoding="utf-8")
+        listed = {m.group(1): set(re.findall(r"--[\w-]+", m.group(2)))
+                  for m in re.finditer(r"^- `(\w+)`: (.*)$", text, re.MULTILINE)}
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        taken = {name: {flag for action in sp._actions for flag in action.option_strings
+                        if flag not in ("-h", "--help", "--out", "--format", "--config")}
+                 for name, sp in sub.choices.items()}
+        assert listed == taken
+
+
 _BUDGET_MULTS = ["nan", "inf", "-1", "0", "0.5", "10"]
 _COMMANDS = ["run", "sweep", "takeover", "ea0", "dominance", "bounds", "tree", "fit"]
+_REPLICATED = ("run", "sweep", "takeover", "ea0", "dominance")
+_BATCHED = ("run", "sweep", "dominance")
 _INT_CELLS = ["0", "1", "-1", "12"]
 _FLOAT_CELLS = ["0", "0.0", "2.5", "-3.5", "nan", "inf"]
 _ODD_CELLS = ["plus", "comma", "fairplus", "", "x"]
@@ -205,13 +267,16 @@ def _small_argv(draw):
         if draw(st.booleans()):
             argv += ["--hamming", str(value(1, max(n, 1), (0, n + 1)))]
     ns = [n] + ([value(2, 40, (0, 1))] if command == "sweep" and draw(st.booleans()) else [])
-    argv += ["--n", ",".join(map(str, ns)), "--mu", str(mu), "--lambda", str(lam),
-             "--replicates", str(value(1, 3)), "--seed", str(draw(st.integers(0, 2 ** 32)))]
-    if draw(st.booleans()):
+    argv += ["--n", ",".join(map(str, ns)), "--mu", str(mu), "--lambda", str(lam)]
+    if command in _REPLICATED:
+        argv += ["--replicates", str(value(1, 3))]
+    if command != "bounds":
+        argv += ["--seed", str(draw(st.integers(0, 2 ** 32)))]
+    if command in _BATCHED and draw(st.booleans()):
         argv += ["--budget-mult", draw(st.sampled_from(_BUDGET_MULTS))]
     if command in ("run", "takeover", "ea0") and draw(st.booleans()):
         argv += ["--max-iterations", str(draw(st.integers(0, 50)))]
-    if draw(st.booleans()):
+    if command in _BATCHED and draw(st.booleans()):
         argv += ["--workers", str(draw(st.integers(0, 2)))]
     if command in ("run", "sweep"):
         argv += ["--variant", draw(st.sampled_from(["plus", "comma", "fairplus"]))]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ealab import (BitString, ConfigError, EaConfig, EvolutionState,
-                   MultiOptOneMax, OneMax, TakeoverSpec, TiePolicy,
+                   MultiOptOneMax, OneMax, TakeoverSpec,
                    UniqueOptGeneric, Variant, compare_dominance,
                    measure_level_time, measure_takeover, mix64,
                    resolve_budget, run, run_batch)
@@ -106,10 +106,9 @@ class TestRunBasics:
 
 class TestTraces:
     @pytest.mark.parametrize("variant", [Variant.PLUS, Variant.FAIRPLUS])
-    @pytest.mark.parametrize("tie", list(TiePolicy))
-    def test_elitist_traces_non_decreasing(self, variant, tie):
+    def test_elitist_traces_non_decreasing(self, variant):
         mu = 3
-        cfg = EaConfig(20, mu, mu, variant, tie_policy=tie, seed=7)
+        cfg = EaConfig(20, mu, mu, variant, seed=7)
         res = run(cfg, OneMax(20))
         trace = res.best_fitness_trace
         assert all(a <= b for a, b in zip(trace, trace[1:]))
@@ -155,15 +154,56 @@ class TestBatchExecution:
         with pytest.raises(ConfigError):
             run_batch(EaConfig(10, 1, 1), OneMax(10), 0)
 
+    @pytest.mark.parametrize("workers,replicates,cpus,size", [
+        (10 ** 5, 5, 4, 4),     # no more workers than CPUs
+        (3, 2, 4, 2),           # ... nor than chunks
+        (2, 50, 4, 2),
+        (2, 50, None, 1),       # unknown CPU count: one worker, still a pool
+    ])
+    def test_pool_size_is_clamped(self, monkeypatch, workers, replicates, cpus, size):
+        # a fork-started pool forks all its workers at once, so a stand-in
+        # pool records the size it is asked for and maps in this process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(engines, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(engines.os, "cpu_count", lambda: cpus)
+        cfg = EaConfig(10, 2, 3, seed=3)
+        f = OneMax(10)
+        assert run_batch(cfg, f, replicates, workers=workers) == run_batch(cfg, f, replicates)
+        assert sizes == [size]
+
+
+class _Flat:
+    """Constant fitness: every candidate ties with every other."""
+
+    def __init__(self, n):
+        self.n = n
+        self.opt_threshold = n + 1
+
+    def value(self, mask):
+        return 0
+
 
 class TestEvolutionState:
     _variants = [(Variant.PLUS, 3, 5), (Variant.PLUS, 4, 2),
                  (Variant.COMMA, 3, 7), (Variant.FAIRPLUS, 4, 4)]
 
     @pytest.mark.parametrize("variant,mu,lam", _variants)
-    @pytest.mark.parametrize("tie", list(TiePolicy))
-    def test_population_size_and_sources(self, variant, mu, lam, tie):
-        cfg = EaConfig(16, mu, lam, variant, tie_policy=tie, seed=13)
+    def test_population_size_and_sources(self, variant, mu, lam):
+        cfg = EaConfig(16, mu, lam, variant, seed=13)
         es = EvolutionState(cfg, OneMax(16))
         for _ in range(10):
             prev_masks = list(es.masks)
@@ -203,14 +243,15 @@ class TestEvolutionState:
         assert es.best_fitness == 8
         assert es.best_count == 1
 
-    def test_population_view(self):
-        cfg = EaConfig(8, 3, 3, seed=1)
-        es = EvolutionState(cfg, OneMax(8))
-        pop = es.population()
-        assert len(pop) == 3
-        best_member, best_fit = pop.best()
-        assert best_fit == max(pop.fitness_values())
-        assert best_member.popcount() == best_fit
+    @pytest.mark.parametrize("variant,mu,lam", [
+        (Variant.PLUS, 3, 5), (Variant.PLUS, 4, 4), (Variant.COMMA, 3, 7)])
+    def test_ties_keep_offspring(self, variant, mu, lam):
+        # marker takeover relies on this rule: with lambda >= mu and every
+        # candidate tied, all survivors are offspring
+        es = EvolutionState(EaConfig(8, mu, lam, variant, seed=3), _Flat(8))
+        for _ in range(5):
+            es.step()
+            assert all(s >= mu for s in es.last_sources)
 
     @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
@@ -287,25 +328,25 @@ class TestLumpedEngine:
 
     REPLICATES = 400
     SHAPES = [
-        # (n, mu, lam, variant, tie policy)
-        (12, 1, 1, Variant.PLUS, TiePolicy.OFFSPRING_FIRST_RANDOM),
-        (12, 3, 5, Variant.PLUS, TiePolicy.UNIFORM_RANDOM),
-        (14, 2, 8, Variant.PLUS, TiePolicy.OFFSPRING_FIRST_RANDOM),
-        (10, 1, 4, Variant.COMMA, TiePolicy.OFFSPRING_FIRST_RANDOM),
-        (12, 2, 6, Variant.COMMA, TiePolicy.UNIFORM_RANDOM),
-        (10, 3, 9, Variant.COMMA, TiePolicy.OFFSPRING_FIRST_RANDOM),
-        (10, 2, 2, Variant.FAIRPLUS, TiePolicy.OFFSPRING_FIRST_RANDOM),
-        (12, 4, 4, Variant.FAIRPLUS, TiePolicy.UNIFORM_RANDOM),
-        (16, 3, 3, Variant.FAIRPLUS, TiePolicy.OFFSPRING_FIRST_RANDOM),
+        # (n, mu, lam, variant)
+        (12, 1, 1, Variant.PLUS),
+        (12, 3, 5, Variant.PLUS),
+        (14, 2, 8, Variant.PLUS),
+        (10, 1, 4, Variant.COMMA),
+        (12, 2, 6, Variant.COMMA),
+        (10, 3, 9, Variant.COMMA),
+        (10, 2, 2, Variant.FAIRPLUS),
+        (12, 4, 4, Variant.FAIRPLUS),
+        (16, 3, 3, Variant.FAIRPLUS),
         # mixed plus populations, comma with lambda >> mu, mixed fairplus
-        (14, 3, 48, Variant.PLUS, TiePolicy.OFFSPRING_FIRST_RANDOM),
-        (12, 2, 64, Variant.COMMA, TiePolicy.UNIFORM_RANDOM),
-        (16, 6, 6, Variant.FAIRPLUS, TiePolicy.OFFSPRING_FIRST_RANDOM),
+        (14, 3, 48, Variant.PLUS),
+        (12, 2, 64, Variant.COMMA),
+        (16, 6, 6, Variant.FAIRPLUS),
     ]
 
-    @pytest.mark.parametrize("n,mu,lam,variant,tie", SHAPES)
-    def test_runtime_law_matches_genotype_engine(self, n, mu, lam, variant, tie):
-        cfg = EaConfig(n, mu, lam, variant, tie_policy=tie, seed=11)
+    @pytest.mark.parametrize("n,mu,lam,variant", SHAPES)
+    def test_runtime_law_matches_genotype_engine(self, n, mu, lam, variant):
+        cfg = EaConfig(n, mu, lam, variant, seed=11)
         lumped = run_batch(cfg, OneMax(n), self.REPLICATES)
         masks = run_batch(replace(cfg, seed=12), _Opaque(OneMax(n)), self.REPLICATES)
         assert _agree(_times(lumped), _times(masks))

@@ -9,7 +9,7 @@ import pytest
 import scipy.stats as sps
 
 from ealab import (CSV_COLUMNS, ConfigError, EaConfig, ExperimentRow,
-                   ExperimentTable, OneMax, SweepSpec, TiePolicy, Variant,
+                   ExperimentTable, OneMax, SweepSpec, Variant,
                    compare_dominance, emit, fit_ratio, master_bound, mix64,
                    parse_table, run_cell, sweep)
 from ealab.harness import mannwhitneyu
@@ -45,7 +45,6 @@ class TestSweep:
 
         bound = master_bound(20, 2, 3).total
         cfg = EaConfig(20, 2, 3, Variant.PLUS, 1.0,
-                       TiePolicy.OFFSPRING_FIRST_RANDOM,
                        int(math.ceil(10.0 * bound)), mix64(9, 0))
         direct = run_cell(cfg, OneMax(20), 50)
         assert _rows_equal(table.rows[0], direct)
