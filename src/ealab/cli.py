@@ -26,8 +26,8 @@ from .bounds import (FAST_REGIME, ea0_growth_lb, level_bound_fast,
                      takeover_bound_general)
 from .engines import DEFAULT_BUDGET_MULT, EaConfig, Variant, iteration_budget
 from .genotype import BitString, ConfigError, make_fitness
-from .harness import (ExperimentTable, SweepSpec, compare_dominance, emit,
-                      fit_ratio, json_bytes, parse_table, run_cell, sweep)
+from .harness import (ExperimentTable, SweepSpec, cell_text, compare_dominance,
+                      emit, fit_ratio, json_bytes, parse_table, run_cell, sweep)
 from .rng import mix64
 from .takeover import Ea0Spec, TakeoverSpec, measure_takeover, run_ea0
 from .trees import count_at_distance, p_opt, q_opt_bound, total_nodes, verify_p_opt
@@ -176,14 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_record(record: dict, fmt: str) -> bytes:
     """One flat record as a single-row CSV, JSON object (non-finite floats as
     null), or aligned text."""
@@ -193,11 +185,11 @@ def emit_record(record: dict, fmt: str) -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(record.keys())
-        writer.writerow([_fmt_value(v) for v in record.values()])
+        writer.writerow([cell_text(v) for v in record.values()])
         return buf.getvalue().encode("utf-8")
     if fmt == "text":
         width = max(len(k) for k in record)
-        lines = [f"{key.ljust(width)}  {_fmt_value(value)}"
+        lines = [f"{key.ljust(width)}  {cell_text(value)}"
                  for key, value in record.items()]
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ConfigError(f"unknown record format {fmt!r}")

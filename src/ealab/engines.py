@@ -67,8 +67,8 @@ from itertools import repeat
 
 from .bounds import master_bound
 from .genotype import (ConfigError, MultiOptOneMax, OneMax, UniqueOptGeneric,
-                       flip_mask)
-from .rng import _sampler, binomial_pmf, mix64
+                       mutate_mask)
+from .rng import binomial_pmf, mix64
 
 #: budget applied when EaConfig.max_iterations is None, in multiples of the
 #: master-bound total (rounded up), so sweeps terminate even at adversarial
@@ -164,24 +164,15 @@ class RunResult:
         return self.iterations_to_opt is None
 
 
-def _make_offspring(rng, masks, n, lam, sampler, fair):
+def _make_offspring(rng, masks, n, lam, p, fair):
     """lambda offspring masks and their parent indices.
 
     Plus/comma pick each parent uniformly with replacement; the fair variant
     mutates parent k into offspring k.
     """
-    cum = sampler._cum
-    rr = rng.random
-    randrange = rng.randrange
     mu = len(masks)
-    off_masks = []
-    parent_idx = []
-    for k in range(lam):
-        i = k if fair else randrange(mu)
-        flips = bisect_right(cum, rr())
-        off_masks.append(masks[i] ^ flip_mask(rng, n, flips) if flips else masks[i])
-        parent_idx.append(i)
-    return off_masks, parent_idx
+    parent_idx = list(range(lam)) if fair else [rng.randrange(mu) for _ in range(lam)]
+    return [mutate_mask(masks[i], n, p, rng) for i in parent_idx], parent_idx
 
 
 def _select(rng, mu, par_masks, par_fits, off_masks, off_fits, comma):
@@ -575,7 +566,8 @@ def run_batch(config: EaConfig, f, replicates: int, workers: int | None = None):
     over 71-93 MB, against 74-76 MB this way.
 
     A fork-started pool forks all its workers at the first submit, so the
-    pool never has more workers than chunks or CPUs.
+    pool never has more workers than replicates or CPUs; the batch is cut
+    into about four chunks per worker of that pool.
     """
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
@@ -583,10 +575,10 @@ def run_batch(config: EaConfig, f, replicates: int, workers: int | None = None):
     seeds = [mix64(config.seed, r) for r in range(replicates)]
     if workers is not None and workers > 1:
         jobs = [(config, f, s) for s in seeds]
-        chunk = max(1, replicates // (workers * 4))
+        size = min(workers, replicates, os.cpu_count() or 1)
+        chunk = max(1, replicates // (size * 4))
         chunks = [jobs[i:i + chunk] for i in range(0, replicates, chunk)]
         results = []
-        size = min(workers, len(chunks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=size) as ex:
             for blob in ex.map(_run_chunk, chunks):
                 results += pickle.loads(blob)
@@ -623,7 +615,6 @@ class EvolutionState:
                     raise ConfigError("initial mask out of range for length n")
             self.masks = masks
         self.fits = [f.value(m) for m in self.masks]
-        self._sampler = _sampler(n, config.c / n)
         self._comma = config.variant is Variant.COMMA
         self._fair = config.variant is Variant.FAIRPLUS
         self.iteration = 0
@@ -644,7 +635,7 @@ class EvolutionState:
         """One iteration: offspring, evaluation, selection."""
         cfg = self.config
         off_masks, parent_idx = _make_offspring(
-            self.rng, self.masks, cfg.n, cfg.lam, self._sampler, self._fair)
+            self.rng, self.masks, cfg.n, cfg.lam, cfg.p, self._fair)
         value = self.fitness.value
         off_fits = [value(m) for m in off_masks]
         new_masks, new_fits, sources = _select(

@@ -5,12 +5,16 @@ its input. Internally a genotype is an int bit mask (bit ``i`` of ``mask`` is
 position ``i``), which keeps the mutation/evaluation hot path cheap; the
 engines work on raw masks and only build :class:`BitString` objects at API
 boundaries.
+
+Every mutation of a genotype is :func:`mutate_mask`: a Binomial(n, p) number
+of flips at uniformly random distinct positions, found by rejection. A
+string is optimal under a benchmark iff its value reaches the benchmark's
+``opt_threshold``, the rule every engine stops on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log
 
 from .rng import _sampler
 
@@ -101,15 +105,11 @@ class OneMax:
         if n < 1:
             raise ConfigError("n must be positive")
         self.n = n
-        self._full = (1 << n) - 1
         # any member with fitness >= this threshold is optimal
         self.opt_threshold = n
 
     def value(self, mask: int) -> int:
         return mask.bit_count()
-
-    def is_opt_mask(self, mask: int) -> bool:
-        return mask == self._full
 
     def __repr__(self):
         return f"OneMax(n={self.n})"
@@ -133,9 +133,6 @@ class MultiOptOneMax:
     def value(self, mask: int) -> int:
         return mask.bit_count()
 
-    def is_opt_mask(self, mask: int) -> bool:
-        return self.n - mask.bit_count() <= self.k
-
     def __repr__(self):
         return f"MultiOptOneMax(n={self.n}, k={self.k})"
 
@@ -151,9 +148,6 @@ class UniqueOptGeneric:
 
     def value(self, mask: int) -> int:
         return self.n - (mask ^ self._tmask).bit_count()
-
-    def is_opt_mask(self, mask: int) -> bool:
-        return mask == self._tmask
 
     def __repr__(self):
         return f"UniqueOptGeneric(n={self.n})"
@@ -171,33 +165,28 @@ def evaluate(f, x: BitString) -> int:
 
 
 def is_optimal(f, x: BitString) -> bool:
-    """True iff ``x`` is a declared optimum of ``f``."""
+    """True iff ``x`` is a declared optimum of ``f``: its value reaches
+    ``f.opt_threshold``."""
     _check_dim(f, x)
-    return f.is_opt_mask(x.mask)
+    return f.value(x.mask) >= f.opt_threshold
 
 
 def flip_mask(rng, n: int, k: int) -> int:
     """XOR mask of k distinct positions drawn uniformly from range(n).
 
-    Draws exactly what ``rng.sample(range(n), k)`` draws, except that k == n
-    gives the full mask without drawing. Where sample would keep its picks in
-    a set (n above its setsize, copied from CPython), they are kept in the
-    mask instead: the same randrange(n) draws, redrawn on repeats.
+    Each position is a randrange(n) draw, redrawn while its bit is already
+    set. When 2k > n the n - k positions left alone are drawn instead and the
+    mask is complemented, so k == n draws nothing.
     """
-    if k == n:
-        return (1 << n) - 1
+    flip = 2 * k <= n
     randrange = rng.randrange
-    if k == 1:  # one randrange(n) draw in both of sample's strategies
-        return 1 << randrange(n)
-    if n <= 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):
-        return sum(1 << pos for pos in rng.sample(range(n), k))
     m = 0
-    for _ in range(k):
+    for _ in range(k if flip else n - k):
         bit = 1 << randrange(n)
         while m & bit:
             bit = 1 << randrange(n)
         m |= bit
-    return m
+    return m if flip else m ^ ((1 << n) - 1)
 
 
 def mutate_mask(mask: int, n: int, p: float, rng) -> int:

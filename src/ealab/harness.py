@@ -264,8 +264,11 @@ def compare_dominance(config_a: EaConfig, config_b: EaConfig, f,
                            stats_a, stats_b, mean_diff, pooled, u, p)
 
 
-def _cell_text(value) -> str:
-    # repr keeps every float bit, so parse(emit(t)) round-trips exactly
+def cell_text(value) -> str:
+    """One table or record cell: None as "", floats by repr, which keeps
+    every bit so parse(emit(t)) round-trips exactly, anything else by str."""
+    if value is None:
+        return ""
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -297,7 +300,7 @@ def emit(table: ExperimentTable, fmt: str = "csv") -> bytes:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in table.rows:
-            writer.writerow([_cell_text(v) for v in _row_values(row)])
+            writer.writerow([cell_text(v) for v in _row_values(row)])
         return buf.getvalue().encode("utf-8")
     if fmt == "json":
         return json_bytes({"columns": list(CSV_COLUMNS),

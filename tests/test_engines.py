@@ -156,34 +156,54 @@ class TestBatchExecution:
 
     @pytest.mark.parametrize("workers,replicates,cpus,size", [
         (10 ** 5, 5, 4, 4),     # no more workers than CPUs
-        (3, 2, 4, 2),           # ... nor than chunks
+        (3, 2, 4, 2),           # ... nor than replicates
         (2, 50, 4, 2),
         (2, 50, None, 1),       # unknown CPU count: one worker, still a pool
     ])
     def test_pool_size_is_clamped(self, monkeypatch, workers, replicates, cpus, size):
-        # a fork-started pool forks all its workers at once, so a stand-in
-        # pool records the size it is asked for and maps in this process
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(engines, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(engines.os, "cpu_count", lambda: cpus)
+        pool = _serial_pool(monkeypatch, cpus)
         cfg = EaConfig(10, 2, 3, seed=3)
         f = OneMax(10)
         assert run_batch(cfg, f, replicates, workers=workers) == run_batch(cfg, f, replicates)
-        assert sizes == [size]
+        assert pool["sizes"] == [size]
+
+    def test_chunks_follow_the_clamped_pool(self, monkeypatch):
+        # 10^5 workers asked for on 2 CPUs: a pool of 2 and four chunks per
+        # worker, not 2,000 one-replicate chunks
+        pool = _serial_pool(monkeypatch, 2)
+        cfg = EaConfig(10, 1, 1, seed=11)
+        f = OneMax(10)
+        assert run_batch(cfg, f, 2000, workers=10 ** 5) == run_batch(cfg, f, 2000)
+        assert pool == {"sizes": [2], "chunks": 8}
+
+
+def _serial_pool(monkeypatch, cpus):
+    """Stand in for the process pool on a host with `cpus` CPUs.
+
+    A fork-started pool forks all its workers at once, so the stand-in maps
+    in this process. It records the pool sizes asked for and the number of
+    chunks mapped in the dict it returns.
+    """
+    seen = {"sizes": [], "chunks": 0}
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen["sizes"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            seen["chunks"] += len(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(engines, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(engines.os, "cpu_count", lambda: cpus)
+    return seen
 
 
 class _Flat:

@@ -74,7 +74,7 @@ class TestBenchmarks:
     def test_onemax_unique_optimum(self):
         f = OneMax(6)
         assert is_optimal(f, BitString.ones(6))
-        optima = [m for m in range(1 << 6) if f.is_opt_mask(m)]
+        optima = [m for m in range(1 << 6) if is_optimal(f, BitString(6, m))]
         assert optima == [(1 << 6) - 1]
 
     def test_multiopt_boundary(self):
@@ -86,7 +86,7 @@ class TestBenchmarks:
         # strings with <= k zeros: sum of C(n, j) for j <= k
         for n, k in ((10, 2), (14, 3)):
             f = MultiOptOneMax(n, k=k)
-            count = sum(1 for m in range(1 << n) if f.is_opt_mask(m))
+            count = sum(1 for m in range(1 << n) if is_optimal(f, BitString(n, m)))
             assert count == sum(math.comb(n, j) for j in range(k + 1))
 
     def test_uniqueopt_generic(self):
@@ -95,7 +95,7 @@ class TestBenchmarks:
         assert is_optimal(f, target)
         assert evaluate(f, target) == 4
         assert evaluate(f, BitString.from_string("1001")) == 0
-        optima = [m for m in range(1 << 4) if f.is_opt_mask(m)]
+        optima = [m for m in range(1 << 4) if is_optimal(f, BitString(4, m))]
         assert optima == [target.mask]
 
     def test_dimension_mismatch(self):
@@ -176,17 +176,31 @@ class TestMutation:
         result = sps.chisquare(obs_pooled, f_exp=exp_pooled)
         assert result.pvalue > 1e-3
 
-    # n straddles sample()'s setsize: 21 for k <= 5, 85 for 6 <= k <= 21
-    @pytest.mark.parametrize("n", [10, 21, 22, 50, 85, 86, 256, 1000])
-    def test_flip_mask_draws_what_sample_draws(self, n):
-        for k in range(n):
-            for seed in range(4):
-                ref, rng = random.Random(seed), random.Random(seed)
-                expected = 0
-                for pos in ref.sample(range(n), k):
-                    expected |= 1 << pos
-                assert flip_mask(rng, n, k) == expected, (n, k, seed)
-                assert rng.getstate() == ref.getstate(), (n, k, seed)
+    # every k from 0 to n: both sides of the complement branch at 2k > n
+    @pytest.mark.parametrize("n", [1, 2, 10, 21, 22, 50, 85, 86, 256, 1000])
+    def test_flip_mask_sets_k_bits(self, n):
+        rng = random.Random(n)
+        for k in range(n + 1):
+            m = flip_mask(rng, n, k)
+            assert 0 <= m < (1 << n)
+            assert m.bit_count() == k, (n, k)
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_flip_mask_subsets_uniform(self, k):
+        # every k-subset of 6 positions equally likely; k > 3 draws the
+        # positions left alone and complements them
+        n, samples = 6, 20000
+        rng = random.Random(100 + k)
+        counts = {}
+        for _ in range(samples):
+            m = flip_mask(rng, n, k)
+            counts[m] = counts.get(m, 0) + 1
+        subsets = math.comb(n, k)
+        assert len(counts) == subsets
+        assert all(m.bit_count() == k for m in counts)
+        if subsets > 1:
+            result = sps.chisquare(list(counts.values()))
+            assert result.pvalue >= 1e-3, (k, result.pvalue)
 
     @pytest.mark.parametrize("n", [1, 10, 300])
     def test_flip_mask_full_draws_nothing(self, n):
