@@ -46,6 +46,13 @@ A changing iteration costs O(mu + levels * support), whatever lambda is.
 Level tables (the survival function of one level's offspring) are shared by
 every run at the same (n, p).
 
+A run records its trace as change points, one (t, best, count) triple for
+the start and for each iteration that changes the best fitness or the
+number of members at it; skipped idle iterations write nothing. A
+`RunResult` thus holds, and a pool worker ships back, O(changes) values
+rather than O(iterations), and expands the per-iteration traces only when
+they are read.
+
 `EvolutionState` runs the genotype process one iteration at a time and
 exposes offspring parentage and survivor sources, which the marker takeover
 (i = 0) and family-tree instrumentation build on. It also runs `run` on any
@@ -63,7 +70,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 
 from .bounds import master_bound
 from .genotype import (ConfigError, MultiOptOneMax, OneMax, UniqueOptGeneric,
@@ -149,19 +156,41 @@ class RunResult:
     iterations_to_opt is None when the budget ran out (the Budget-Exhausted
     marker); otherwise the number of iterations executed before an optimum
     entered the population, with 0 meaning the initial population already
-    contained one. Traces carry one entry for the initial population plus one
-    per executed iteration.
+    contained one. `iterations` is the number executed either way.
+
+    The run's trace is stored as change points: `changes` holds flat
+    (t, best, count) triples, one for the initial population (t = 0) and one
+    for each iteration t after which the best fitness or the number of
+    members at it differs from the triple before, so a run keeps O(changes)
+    values, not O(iterations). best_fitness_trace and best_count_trace expand
+    them into one entry for the initial population plus one per executed
+    iteration.
     """
 
     iterations_to_opt: int | None
     evaluations: int
-    best_fitness_trace: tuple
-    best_count_trace: tuple
+    iterations: int
+    changes: tuple
     hit_optimum: bool
 
     @property
     def exhausted(self) -> bool:
         return self.iterations_to_opt is None
+
+    @property
+    def best_fitness_trace(self) -> tuple:
+        return self._expand(1)
+
+    @property
+    def best_count_trace(self) -> tuple:
+        return self._expand(2)
+
+    def _expand(self, field):
+        # entry t is the value of the last change point at or before t
+        ch = self.changes
+        ends = ch[3::3] + (self.iterations + 1,)
+        return tuple(chain.from_iterable(
+            repeat(v, end - t) for t, v, end in zip(ch[::3], ch[field::3], ends)))
 
 
 def _make_offspring(rng, masks, n, lam, p, fair):
@@ -400,7 +429,7 @@ def _descend(parts, ms, base, k, s, rr, left, most, out, floor=None):
 
 
 def evolve_levels(config: EaConfig, rng, fits, budget: int, k: int, thr: int,
-                  ftrace: list, ctrace: list):
+                  changes: list | None = None):
     """Run the fitness-level chain of `config` until its k-th best fitness
     reaches thr; the iterations taken, or None when the budget ran out first.
 
@@ -409,8 +438,9 @@ def evolve_levels(config: EaConfig, rng, fits, budget: int, k: int, thr: int,
     of the lambda offspring in survival space (see the module docstring), so
     it costs O(mu + levels * support) whatever lambda is. Under plus and
     fairplus selection the idle iterations before the next change are
-    skipped in one draw. Traces get the starting best value and count, then
-    one entry per iteration.
+    skipped in one draw. `changes`, when given, gets the change points of
+    the run (see RunResult): (0, best, count) for the start, then
+    (t, best, count) after each iteration t that changes best or count.
     """
     n, mu, lam = config.n, config.mu, config.lam
     comma = config.variant is Variant.COMMA
@@ -420,10 +450,9 @@ def evolve_levels(config: EaConfig, rng, fits, budget: int, k: int, thr: int,
     log1p, expm1 = math.log1p, math.expm1
     kth = mu - k
     fits = sorted(fits)
-    best = fits[-1]
-    count = mu - bisect_left(fits, best)
-    ftrace.append(best)
-    ctrace.append(count)
+    if changes is not None:
+        best = fits[-1]
+        changes.extend((0, best, mu - bisect_left(fits, best)))
     t = 0
     while fits[kth] < thr:
         if t >= budget:
@@ -457,10 +486,7 @@ def evolve_levels(config: EaConfig, rng, fits, budget: int, k: int, thr: int,
             # the idle iterations, each one with probability exp(log_idle)
             x = log1p(-rr()) / log_idle if log_idle < 0.0 else math.inf
             if x >= 1.0:
-                idle = budget - t if x >= budget - t else int(x)
-                ftrace.extend(repeat(best, idle))
-                ctrace.extend(repeat(count, idle))
-                t += idle
+                t += budget - t if x >= budget - t else int(x)
                 if t >= budget:
                     return None
             change = -expm1(log_idle)     # Pr(some offspring beats w)
@@ -492,10 +518,11 @@ def evolve_levels(config: EaConfig, rng, fits, budget: int, k: int, thr: int,
             offs.sort()
             fits = offs[-mu:]
         t += 1
-        best = fits[-1]
-        count = mu - bisect_left(fits, best)
-        ftrace.append(best)
-        ctrace.append(count)
+        if changes is not None:
+            best = fits[-1]
+            count = mu - bisect_left(fits, best)
+            if best != changes[-2] or count != changes[-1]:
+                changes.extend((t, best, count))
     return t
 
 
@@ -514,27 +541,26 @@ def run(config: EaConfig, f) -> RunResult:
     n, mu, lam = config.n, config.mu, config.lam
     rng = random.Random(config.seed)
     budget = resolve_budget(config)
-    ftrace = []
-    ctrace = []
+    changes = []
     if isinstance(f, LUMPABLE):
         fits = [f.value(rng.getrandbits(n)) for _ in range(mu)]
-        t = evolve_levels(config, rng, fits, budget, 1, f.opt_threshold,
-                          ftrace, ctrace)
+        t = evolve_levels(config, rng, fits, budget, 1, f.opt_threshold, changes)
     else:
-        t = _step_to_optimum(EvolutionState(config, f, rng=rng), budget,
-                             ftrace, ctrace)
+        t = _step_to_optimum(EvolutionState(config, f, rng=rng), budget, changes)
     if t is None:
-        return RunResult(None, mu + lam * budget, tuple(ftrace), tuple(ctrace), False)
-    return RunResult(t, mu + lam * t, tuple(ftrace), tuple(ctrace), True)
+        return RunResult(None, mu + lam * budget, budget, tuple(changes), False)
+    return RunResult(t, mu + lam * t, t, tuple(changes), True)
 
 
-def _step_to_optimum(es, budget, ftrace, ctrace):
+def _step_to_optimum(es, budget, changes):
+    # the genotype engine's run; change points by evolve_levels' rule
     thr = es.fitness.opt_threshold
     t = 0
     while True:
         best = es.best_fitness
-        ftrace.append(best)
-        ctrace.append(es.fits.count(best))
+        count = es.fits.count(best)
+        if not changes or best != changes[-2] or count != changes[-1]:
+            changes.extend((t, best, count))
         if best >= thr:
             return t
         if t >= budget:

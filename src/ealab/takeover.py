@@ -127,7 +127,7 @@ def _config(spec):
 def _takeover_once(rng, spec, cap):
     # i >= 1: j1 members at fitness i, the fillers at i - 1
     fits = [spec.i] * spec.j1 + [spec.i - 1] * (spec.mu - spec.j1)
-    return evolve_levels(_config(spec), rng, fits, cap, spec.j2, spec.i, [], [])
+    return evolve_levels(_config(spec), rng, fits, cap, spec.j2, spec.i)
 
 
 def _takeover_once_marked(rng, spec, cap):
@@ -203,4 +203,4 @@ def measure_level_time(config: EaConfig, f, i: int, replicates: int) -> SampleSt
     cap = resolve_budget(config)
     initial = [i] + [max(i - 1, 0)] * (config.mu - 1)
     return _replicates(config.seed, replicates, lambda rng: evolve_levels(
-        config, rng, initial, cap, 1, i + 1, [], []))
+        config, rng, initial, cap, 1, i + 1))

@@ -1,6 +1,7 @@
 """Engine variants: run law, determinism, selection invariants."""
 
 import math
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -134,6 +135,64 @@ class TestTraces:
                                 EaConfig(10, 2, 2, Variant.COMMA, seed=32),
                                 f, 10 ** 4, workers=4)
         assert rep.stats_a.mean <= rep.stats_b.mean + 3 * rep.pooled_se
+
+
+def _change_points(ftrace, ctrace):
+    """The minimal flat (t, best, count) list that expands to the two traces."""
+    out = []
+    for t, (best, count) in enumerate(zip(ftrace, ctrace)):
+        if not out or (best, count) != (out[-2], out[-1]):
+            out += (t, best, count)
+    return tuple(out)
+
+
+class TestChangePoints:
+    def test_one_plus_one_result_stays_small(self):
+        # about 2.5 * 10^5 iterations, of which a few thousand change the best
+        res = run(EaConfig(10 ** 4, 1, 1, seed=41), OneMax(10 ** 4))
+        assert res.hit_optimum
+        assert len(pickle.dumps(res)) <= 64 * 1024
+        assert len(res.best_fitness_trace) == res.iterations_to_opt + 1
+
+    @pytest.mark.parametrize("variant,mu,lam,genotype", [
+        (Variant.PLUS, 3, 5, False), (Variant.COMMA, 2, 6, False),
+        (Variant.FAIRPLUS, 4, 4, False), (Variant.PLUS, 2, 3, True),
+    ])
+    def test_change_points_are_minimal(self, variant, mu, lam, genotype):
+        cfg = EaConfig(24, mu, lam, variant, seed=42, max_iterations=400)
+        f = _Opaque(OneMax(24)) if genotype else OneMax(24)
+        for res in run_batch(cfg, f, 20):
+            ts = res.changes[::3]
+            assert ts[0] == 0 and ts[-1] <= res.iterations
+            assert all(a < b for a, b in zip(ts, ts[1:]))
+            pairs = list(zip(res.changes[1::3], res.changes[2::3]))
+            assert all(a != b for a, b in zip(pairs, pairs[1:]))
+            assert res.changes == _change_points(res.best_fitness_trace,
+                                                 res.best_count_trace)
+
+    @pytest.mark.parametrize("genotype", [False, True])
+    def test_exhausted_run_expands_to_budget_plus_one(self, genotype):
+        budget = 200
+        cfg = EaConfig(64, 1, 1, seed=43, max_iterations=budget)
+        f = _Opaque(OneMax(64)) if genotype else OneMax(64)
+        results = run_batch(cfg, f, 20)
+        assert all(r.exhausted for r in results)
+        for res in results:
+            assert res.iterations == budget
+            assert len(res.best_fitness_trace) == budget + 1
+            assert len(res.best_count_trace) == budget + 1
+        # some run's last change comes before the budget runs out
+        assert any(res.changes[-3] < budget for res in results)
+
+    def test_pool_returns_what_one_worker_does(self):
+        cfg = EaConfig(40, 2, 3, seed=44, max_iterations=60)
+        f = OneMax(40)
+        serial = run_batch(cfg, f, 16, workers=1)
+        pooled = run_batch(cfg, f, 16, workers=2)
+        assert any(r.exhausted for r in serial) and any(r.hit_optimum for r in serial)
+        assert pooled == serial
+        assert [r.best_fitness_trace for r in pooled] == [r.best_fitness_trace for r in serial]
+        assert [r.best_count_trace for r in pooled] == [r.best_count_trace for r in serial]
 
 
 class TestBatchExecution:
@@ -447,9 +506,9 @@ class TestLumpedEngine:
         rng = random.Random(seed)
         waits, bests = [], []
         for _ in range(reps):
-            ftrace = []
-            waits.append(evolve_levels(cfg, rng, [m] * mu, 10 ** 9, 1, m + 1, ftrace, []))
-            bests.append(ftrace[-1])
+            changes = []
+            waits.append(evolve_levels(cfg, rng, [m] * mu, 10 ** 9, 1, m + 1, changes))
+            bests.append(changes[-2])
         cdf, acc = [], 0.0
         for v in range(n + 1):
             acc += oracles.onemax_transition(n, m, v, 1.0 / n)
@@ -510,7 +569,7 @@ class TestLumpedEngine:
         n = 256
         rng = _CountingRandom(30)
         fits = [rng.getrandbits(n).bit_count() for _ in range(mu)]
-        t = evolve_levels(EaConfig(n, mu, lam), rng, fits, 10 ** 9, 1, n, [], [])
+        t = evolve_levels(EaConfig(n, mu, lam), rng, fits, 10 ** 9, 1, n)
         assert t >= 1
         assert rng.calls <= (2 * mu + 4) * t
 
