@@ -152,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu", type=int, default=1)
     sp.add_argument("--ell", type=int, required=True, help="distance from the root")
     sp.add_argument("--samples", type=int, default=0,
-                    help="Monte Carlo samples for the hit-rate check (0 = skip)")
+                    help="samples in the binomial hit-count draw at the exact hit rate "
+                         "(0 = skip)")
     sp.add_argument("--hamming", type=int, default=None,
                     help="root-to-target distance (default ceil(n/4))")
     _common(sp, seed=True)
@@ -329,7 +330,7 @@ def _cmd_tree(args):
         target = BitString(args.n, root.mask ^ flip)
         check = verify_p_opt(root, target, args.ell, args.samples, rng)
         record.update(hamming=hamming, samples=check.samples, hits=check.hits,
-                      empirical=check.empirical, sigma=check.sigma,
+                      exact=check.exact, empirical=check.empirical, sigma=check.sigma,
                       within=check.within)
     return EXIT_OK, emit_record(record, args.fmt or "json")
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .engines import EaConfig, EvolutionState, resolve_budget
 from .genotype import BitString, ConfigError, mutate_mask
+from .rng import binomial_by_gaps
 
 #: explicit construction refuses node counts above this
 EXPLICIT_BUILD_GUARD = 10 ** 6
@@ -126,7 +127,7 @@ def p_opt(ell: int, n: int) -> float:
 
 @dataclass(frozen=True)
 class POptCheck:
-    """Monte Carlo comparison of an exact-hit rate against p_opt."""
+    """Sampled exact-hit count, its exact rate, and the p_opt bound."""
 
     ell: int
     n: int
@@ -136,12 +137,33 @@ class POptCheck:
     bound: float
     sigma: float
     within: bool
+    exact: float
+
+
+def _hit_probability(n: int, hamming: int, ell: int) -> float:
+    """Probability that ell sequential standard-bit mutations (p = 1/n) turn
+    a string into a given one at Hamming distance hamming >= 1.
+
+    Each bit flips independently in every mutation, so after ell of them it
+    has flipped an odd number of times, independently of the other bits,
+    with probability r = (1 - (1 - 2p)^ell) / 2. A hit flips exactly the
+    differing bits: r^hamming (1 - r)^(n - hamming), in log space so that a
+    rate below the float range is 0.0.
+    """
+    if ell == 0:
+        return 0.0
+    if n == 2:
+        r = 0.5                 # log1p(-2p) has no value at p = 1/2
+    else:
+        r = -math.expm1(ell * math.log1p(-2.0 / n)) / 2.0
+    return math.exp(hamming * math.log(r) + (n - hamming) * math.log1p(-r))
 
 
 def verify_p_opt(root: BitString, target: BitString, ell: int,
                  samples: int, rng) -> POptCheck:
-    """Apply ell sequential standard-bit mutations (p = 1/n) to the root and
-    count exact hits of the target.
+    """Exact rate at which ell sequential standard-bit mutations (p = 1/n)
+    of the root hit the target, and one Binomial(samples, rate) draw of the
+    hit count, compared against the bound p_opt(ell, n).
 
     Requires Hamming(root, target) >= n/4, the premise of the bound; sigma is
     the binomial standard deviation at the bound itself, so `within` means
@@ -150,28 +172,28 @@ def verify_p_opt(root: BitString, target: BitString, ell: int,
     if root.n != target.n:
         raise ConfigError("root and target must have the same length")
     n = root.n
-    if 4 * root.hamming(target) < n:
-        raise ConfigError(
-            f"premise violated: Hamming distance {root.hamming(target)} < n/4 = {n / 4}")
+    if n < 2:
+        raise ConfigError("n must be >= 2")
     if ell < 0:
         raise ConfigError("ell must be nonnegative")
     if samples < 1:
         raise ConfigError("samples must be >= 1")
-    p = 1.0 / n
-    tmask = target.mask
-    rmask = root.mask
-    hits = 0
-    for _ in range(samples):
-        m = rmask
-        for _ in range(ell):
-            m = mutate_mask(m, n, p, rng)
-        if m == tmask:
-            hits += 1
+    hamming = root.hamming(target)
+    if 4 * hamming < n:
+        raise ConfigError(
+            f"premise violated: Hamming distance {hamming} < n/4 = {n / 4}")
+    exact = _hit_probability(n, hamming, ell)
+    # BinomialSampler(samples, exact) would build a table of O(samples *
+    # exact) entries: at n = 2, Hamming 1, exact = 1/4, so 10**9 samples
+    # would allocate about 2.5e8 floats. The gap draw needs O(1) memory and
+    # O(1 + hits) time, and exact <= 2^(-0.81 n) under the premise, so its
+    # expected work never exceeds samples * ell mutations.
+    hits = binomial_by_gaps(rng, samples, exact)
     empirical = hits / samples
     bound = p_opt(ell, n)
     sigma = math.sqrt(bound * (1.0 - bound) / samples)
     return POptCheck(ell, n, samples, hits, empirical, bound, sigma,
-                     empirical <= bound + 3.0 * sigma)
+                     empirical <= bound + 3.0 * sigma, exact)
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from ealab import CSV_COLUMNS
 from ealab.cli import build_parser, main
 
+import oracles
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -391,6 +393,10 @@ class TestMeasurementCommands:
         rec = json.loads(data)
         assert rec["samples"] == 2000
         assert rec["within"] is True
+        keys = list(rec)
+        assert keys.index("exact") == keys.index("hits") + 1
+        assert rec["exact"] == pytest.approx(
+            oracles.exact_hit_rate_one_mutation(8, 2), rel=1e-12)
 
     @pytest.mark.parametrize("argv", [
         ("--t", "1100", "--n", "8", "--ell", "1"),

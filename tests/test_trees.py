@@ -2,16 +2,44 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+import scipy.stats as sps
 
 from ealab import (BitString, CompleteTreeSpec, ConfigError, EaConfig,
                    MultiOptOneMax, OneMax, build_complete_tree,
                    count_at_distance, p_opt, q_opt_bound, q_opt_bound_exact,
                    simulate_family_tree, total_nodes, verify_p_opt)
+from ealab.genotype import mutate_mask
+from ealab.rng import binomial_by_gaps
 
 import oracles
+
+
+class _NoDraws:
+    """An rng that fails the test on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used")
+
+
+def _pooled_chisquare_p(observed, expected) -> float:
+    """Chi-square p-value after merging neighbouring cells, left to right,
+    until each holds an expected count of at least 5."""
+    obs_pooled, exp_pooled = [], []
+    acc_o = acc_e = 0.0
+    for o, e in zip(observed, expected):
+        acc_o += o
+        acc_e += e
+        if acc_e >= 5.0:
+            obs_pooled.append(acc_o)
+            exp_pooled.append(acc_e)
+            acc_o = acc_e = 0.0
+    obs_pooled[-1] += acc_o
+    exp_pooled[-1] += acc_e
+    return sps.chisquare(obs_pooled, exp_pooled).pvalue
 
 
 class TestCounting:
@@ -116,6 +144,88 @@ class TestPOpt:
         with pytest.raises(ConfigError):
             verify_p_opt(BitString.zeros(8), BitString.ones(12), 1, 10,
                          random.Random(0))
+
+    def test_n_below_two_rejected_before_any_draw(self):
+        with pytest.raises(ConfigError, match="n must be >= 2"):
+            verify_p_opt(BitString.zeros(1), BitString.ones(1), 1, 10, _NoDraws())
+
+    def test_zero_mutations_at_n_two(self):
+        # p = 1/2 makes log1p(-2p) = -inf, which ell = 0 must never multiply
+        check = verify_p_opt(BitString.zeros(2), BitString.ones(2), 0, 10 ** 18,
+                             _NoDraws())
+        assert (check.exact, check.hits) == (0.0, 0)
+
+    @pytest.mark.parametrize("ell", [1, 2, 5])
+    @pytest.mark.parametrize("target", ["01", "11"])
+    def test_n_two_randomizes_every_bit(self, ell, target):
+        check = verify_p_opt(BitString.zeros(2), BitString.from_string(target),
+                             ell, 1000, random.Random(ell))
+        assert check.exact == 0.25
+
+    def test_subnormal_rate_with_huge_sample_count(self):
+        # n = 200, Hamming 136, one mutation: rate about 8e-314
+        root = BitString.zeros(200)
+        target = BitString(200, (1 << 136) - 1)
+        check = verify_p_opt(root, target, 1, 10 ** 18, random.Random(5))
+        assert 0.0 < check.exact < sys.float_info.min
+        assert check.hits == 0
+
+
+class TestHitLaw:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_closed_form_matches_mask_chain(self, n):
+        # exact distribution of root XOR label after ell mutations, over all
+        # 2^n masks, with Pr(x -> y) = p^h (1 - p)^(n - h), h = |x XOR y|
+        p = Fraction(1, n)
+        step = [p ** h * (1 - p) ** (n - h) for h in range(n + 1)]
+        root = random.Random(n).getrandbits(n)
+        dist = [Fraction(int(m == 0)) for m in range(1 << n)]
+        for ell in range(5):
+            for m in range(1 << n):
+                if 4 * m.bit_count() < n:
+                    continue
+                check = verify_p_opt(BitString(n, root), BitString(n, root ^ m),
+                                     ell, 1, random.Random(0))
+                assert math.isclose(check.exact, float(dist[m]), rel_tol=1e-12,
+                                    abs_tol=0.0), (n, ell, m)
+            dist = [sum(dist[x] * step[(x ^ y).bit_count()] for x in range(1 << n))
+                    for y in range(1 << n)]
+
+    def test_bits_flip_independently_under_the_operator(self):
+        # final distance to the target is Bin(d, 1 - r) + Bin(n - d, r)
+        n, d, ell, runs = 6, 2, 3, 20000
+        r = (1 - (1 - Fraction(2, n)) ** ell) / 2
+        near = [math.comb(d, k) * (1 - r) ** k * r ** (d - k) for k in range(d + 1)]
+        far = [math.comb(n - d, k) * r ** k * (1 - r) ** (n - d - k)
+               for k in range(n - d + 1)]
+        pmf = [sum(near[a] * far[k - a] for a in range(d + 1) if 0 <= k - a <= n - d)
+               for k in range(n + 1)]
+        rng = random.Random(6230)
+        target = (1 << d) - 1
+        observed = [0] * (n + 1)
+        for _ in range(runs):
+            m = 0
+            for _ in range(ell):
+                m = mutate_mask(m, n, 1.0 / n, rng)
+            observed[(m ^ target).bit_count()] += 1
+        expected = [runs * float(w) for w in pmf]
+        assert _pooled_chisquare_p(observed, expected) >= 1e-3
+
+    @pytest.mark.parametrize("trials,q,seed", [(50, 0.1, 501), (1000, 0.003, 1003)])
+    def test_gap_draw_is_binomial(self, trials, q, seed):
+        draws = 20000
+        rng = random.Random(seed)
+        observed = [0] * (trials + 1)
+        for _ in range(draws):
+            observed[binomial_by_gaps(rng, trials, q)] += 1
+        expected = [draws * float(sps.binom.pmf(k, trials, q)) for k in range(trials + 1)]
+        assert _pooled_chisquare_p(observed, expected) >= 1e-3
+
+    def test_gap_draw_at_zero_rate_draws_nothing(self):
+        assert binomial_by_gaps(_NoDraws(), 10 ** 18, 0.0) == 0
+
+    def test_gap_draw_at_subnormal_rate_returns_at_once(self):
+        assert binomial_by_gaps(random.Random(9), 10 ** 18, 5e-324) == 0
 
 
 class TestQOpt:
