@@ -108,26 +108,3 @@ def _sampler(n: int, p: float) -> BinomialSampler:
 def binomial_draw(rng, n: int, p: float) -> int:
     """One Binomial(n, p) variate from ``rng``; tables cached per (n, p)."""
     return _sampler(n, p).draw(rng)
-
-
-def binomial_by_gaps(rng, n: int, p: float) -> int:
-    """One Binomial(n, p) variate from ``rng``: the number of Bernoulli(p)
-    successes among n trials, stepping from one success to the next by
-    inverse-CDF geometric gaps. O(1 + hits) time and O(1) memory, with no
-    table, so it suits a huge n drawn once."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not 0.0 <= p < 1.0:
-        raise ValueError("p must be in [0, 1)")
-    if p == 0.0:
-        return 0
-    log_miss = math.log1p(-p)
-    hits, left = 0, n
-    while True:
-        # failures before the next success; at subnormal p the division
-        # reaches inf, so compare it as a float and convert only once it fits
-        skip = math.log(1.0 - rng.random()) / log_miss
-        if skip >= left:
-            return hits
-        hits += 1
-        left -= int(skip) + 1

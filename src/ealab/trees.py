@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .engines import EaConfig, EvolutionState, resolve_budget
 from .genotype import BitString, ConfigError, mutate_mask
-from .rng import binomial_by_gaps
+from .rng import BinomialSampler
 
 #: explicit construction refuses node counts above this
 EXPLICIT_BUILD_GUARD = 10 ** 6
@@ -183,12 +183,7 @@ def verify_p_opt(root: BitString, target: BitString, ell: int,
         raise ConfigError(
             f"premise violated: Hamming distance {hamming} < n/4 = {n / 4}")
     exact = _hit_probability(n, hamming, ell)
-    # BinomialSampler(samples, exact) would build a table of O(samples *
-    # exact) entries: at n = 2, Hamming 1, exact = 1/4, so 10**9 samples
-    # would allocate about 2.5e8 floats. The gap draw needs O(1) memory and
-    # O(1 + hits) time, and exact <= 2^(-0.81 n) under the premise, so its
-    # expected work never exceeds samples * ell mutations.
-    hits = binomial_by_gaps(rng, samples, exact)
+    hits = BinomialSampler(samples, exact).draw(rng) if exact else 0
     empirical = hits / samples
     bound = p_opt(ell, n)
     sigma = math.sqrt(bound * (1.0 - bound) / samples)

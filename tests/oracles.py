@@ -137,6 +137,24 @@ def exact_hit_rate_one_mutation(n: int, hamming: int) -> float:
     return (1.0 / n) ** hamming * (1.0 - 1.0 / n) ** (n - hamming)
 
 
+def pool_cells(observed, expected):
+    """Merge neighbouring cells, left to right, until each holds an expected
+    count of at least 5 (a remainder joins the last cell), so a chi-square
+    test can be run on the result: returns (observed, expected) lists."""
+    obs_pooled, exp_pooled = [], []
+    acc_o = acc_e = 0.0
+    for o, e in zip(observed, expected):
+        acc_o += o
+        acc_e += e
+        if acc_e >= 5.0:
+            obs_pooled.append(acc_o)
+            exp_pooled.append(acc_e)
+            acc_o = acc_e = 0.0
+    obs_pooled[-1] += acc_o
+    exp_pooled[-1] += acc_e
+    return obs_pooled, exp_pooled
+
+
 def one_plus_lambda_expected_iterations(n: int, lam: int) -> float:
     """Expected iterations of the elitist one-parent, lam-offspring process
     on the count-of-ones objective from a uniform random start.

@@ -152,16 +152,7 @@ def test_a9_property_suites():
     for _ in range(draws):
         counts[mutate(zero, p, rng).popcount()] += 1
     expected = [draws * sps.binom.pmf(k, n, p) for k in range(n + 1)]
-    obs_pooled, exp_pooled, o_acc, e_acc = [], [], 0.0, 0.0
-    for o, e in zip(counts, expected):
-        o_acc += o
-        e_acc += e
-        if e_acc >= 5.0:
-            obs_pooled.append(o_acc)
-            exp_pooled.append(e_acc)
-            o_acc = e_acc = 0.0
-    obs_pooled[-1] += o_acc
-    exp_pooled[-1] += e_acc
+    obs_pooled, exp_pooled = oracles.pool_cells(counts, expected)
     _, p_value = sps.chisquare(obs_pooled, exp_pooled)
     assert p_value > 1e-3
 

@@ -162,17 +162,7 @@ class TestMutation:
         for _ in range(samples):
             observed[x.hamming(mutate(x, p, rng))] += 1
         expected = [samples * float(sps.binom.pmf(k, n, p)) for k in range(n + 1)]
-        obs_pooled, exp_pooled = [], []
-        acc_o = acc_e = 0.0
-        for o, e in zip(observed, expected):
-            acc_o += o
-            acc_e += e
-            if acc_e >= 5.0:
-                obs_pooled.append(acc_o)
-                exp_pooled.append(acc_e)
-                acc_o = acc_e = 0.0
-        obs_pooled[-1] += acc_o
-        exp_pooled[-1] += acc_e
+        obs_pooled, exp_pooled = oracles.pool_cells(observed, expected)
         result = sps.chisquare(obs_pooled, f_exp=exp_pooled)
         assert result.pvalue > 1e-3
 

@@ -13,7 +13,6 @@ from ealab import (BitString, CompleteTreeSpec, ConfigError, EaConfig,
                    count_at_distance, p_opt, q_opt_bound, q_opt_bound_exact,
                    simulate_family_tree, total_nodes, verify_p_opt)
 from ealab.genotype import mutate_mask
-from ealab.rng import binomial_by_gaps
 
 import oracles
 
@@ -23,23 +22,6 @@ class _NoDraws:
 
     def __getattr__(self, name):
         raise AssertionError(f"rng.{name} used")
-
-
-def _pooled_chisquare_p(observed, expected) -> float:
-    """Chi-square p-value after merging neighbouring cells, left to right,
-    until each holds an expected count of at least 5."""
-    obs_pooled, exp_pooled = [], []
-    acc_o = acc_e = 0.0
-    for o, e in zip(observed, expected):
-        acc_o += o
-        acc_e += e
-        if acc_e >= 5.0:
-            obs_pooled.append(acc_o)
-            exp_pooled.append(acc_e)
-            acc_o = acc_e = 0.0
-    obs_pooled[-1] += acc_o
-    exp_pooled[-1] += acc_e
-    return sps.chisquare(obs_pooled, exp_pooled).pvalue
 
 
 class TestCounting:
@@ -209,23 +191,7 @@ class TestHitLaw:
                 m = mutate_mask(m, n, 1.0 / n, rng)
             observed[(m ^ target).bit_count()] += 1
         expected = [runs * float(w) for w in pmf]
-        assert _pooled_chisquare_p(observed, expected) >= 1e-3
-
-    @pytest.mark.parametrize("trials,q,seed", [(50, 0.1, 501), (1000, 0.003, 1003)])
-    def test_gap_draw_is_binomial(self, trials, q, seed):
-        draws = 20000
-        rng = random.Random(seed)
-        observed = [0] * (trials + 1)
-        for _ in range(draws):
-            observed[binomial_by_gaps(rng, trials, q)] += 1
-        expected = [draws * float(sps.binom.pmf(k, trials, q)) for k in range(trials + 1)]
-        assert _pooled_chisquare_p(observed, expected) >= 1e-3
-
-    def test_gap_draw_at_zero_rate_draws_nothing(self):
-        assert binomial_by_gaps(_NoDraws(), 10 ** 18, 0.0) == 0
-
-    def test_gap_draw_at_subnormal_rate_returns_at_once(self):
-        assert binomial_by_gaps(random.Random(9), 10 ** 18, 5e-324) == 0
+        assert sps.chisquare(*oracles.pool_cells(observed, expected)).pvalue >= 1e-3
 
 
 class TestQOpt:
