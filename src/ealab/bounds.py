@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .genotype import ConfigError
-from .rng import _sampler
+from .rng import binomial_draw
 
 #: threshold on lambda/mu separating the two analysis regimes
 FAST_REGIME = math.e ** math.e
@@ -198,14 +198,15 @@ def multbin_lb_check(n: int, p: float, samples: int, rng) -> float:
     for p > 1/n. The threshold comparison is fuzzed by 1e-9 so that float
     round-off in n*p cannot drop the boundary outcome X = E[X].
     """
-    if p <= 1.0 / n:
-        raise ConfigError("the lower-bound regime needs p > 1/n")
+    if n < 1:
+        raise ConfigError("n must be >= 1")
+    if not 1.0 / n < p <= 1.0:
+        raise ConfigError("the lower-bound regime needs 1/n < p <= 1")
     if samples < 1:
         raise ConfigError("samples must be >= 1")
-    sampler = _sampler(n, p)
     threshold = n * p - 1e-9
     hits = 0
     for _ in range(samples):
-        if sampler.draw(rng) >= threshold:
+        if binomial_draw(rng, n, p) >= threshold:
             hits += 1
     return hits / samples

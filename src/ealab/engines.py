@@ -265,8 +265,7 @@ def _level_table(n: int, p: float, g: int) -> tuple:
     Pr(offspring > lo + k), ending in 0.0 at the top of the support. Each
     entry is the fsum of the pmf above it over the total mass, so the small
     upper-tail entries (Pr(gain) is about 1/(en) near the optimum) keep their
-    relative precision. The two binomials come from binomial_pmf directly, so
-    these tables never evict rng's cached samplers.
+    relative precision. The two binomials come from binomial_pmf directly.
     """
     l0, loss = _support(binomial_pmf(g, p))
     g0, gain = _support(binomial_pmf(n - g, p))

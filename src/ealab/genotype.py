@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rng import _sampler
+from .rng import binomial_draw
 
 
 class ConfigError(ValueError):
@@ -196,7 +196,7 @@ def mutate_mask(mask: int, n: int, p: float, rng) -> int:
     Implemented as a Binomial(n, p) flip count followed by a uniform random
     subset of positions, which has exactly the same distribution.
     """
-    k = _sampler(n, p).draw(rng)
+    k = binomial_draw(rng, n, p)
     return mask ^ flip_mask(rng, n, k) if k else mask
 
 

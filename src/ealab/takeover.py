@@ -28,7 +28,7 @@ from .bounds import takeover_bound_general
 from .engines import (LUMPABLE, EaConfig, EvolutionState, Variant,
                       evolve_levels, resolve_budget)
 from .genotype import ConfigError, OneMax
-from .rng import _sampler, mix64
+from .rng import binomial_draw, mix64
 from .stats import SampleStats, summarize
 
 
@@ -164,7 +164,7 @@ def ea0_once(rng, n, mu, lam, j1, j2, cap):
     while j < j2:
         if t >= cap:
             return None, trace
-        j = min(mu, j + _sampler(lam, j * q_copy / mu).draw(rng))
+        j = min(mu, j + binomial_draw(rng, lam, j * q_copy / mu))
         t += 1
         trace.append(j)
     return t, trace

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .engines import EaConfig, EvolutionState, resolve_budget
 from .genotype import BitString, ConfigError, mutate_mask
-from .rng import BinomialSampler
+from .rng import binomial_draw
 
 #: explicit construction refuses node counts above this
 EXPLICIT_BUILD_GUARD = 10 ** 6
@@ -183,7 +183,7 @@ def verify_p_opt(root: BitString, target: BitString, ell: int,
         raise ConfigError(
             f"premise violated: Hamming distance {hamming} < n/4 = {n / 4}")
     exact = _hit_probability(n, hamming, ell)
-    hits = BinomialSampler(samples, exact).draw(rng) if exact else 0
+    hits = binomial_draw(rng, samples, exact)
     empirical = hits / samples
     bound = p_opt(ell, n)
     sigma = math.sqrt(bound * (1.0 - bound) / samples)

@@ -227,6 +227,14 @@ class TestProbabilityHelpers:
         with pytest.raises(ConfigError):
             multbin_lb_check(100, 0.05, 0, random.Random(0))
 
+    def test_multbin_rejects_empty_n(self):
+        with pytest.raises(ConfigError):
+            multbin_lb_check(0, 0.5, 10, random.Random(0))
+
+    def test_multbin_rejects_p_above_one(self):
+        with pytest.raises(ConfigError):
+            multbin_lb_check(100, 1.5, 10, random.Random(0))
+
     def test_multbin_against_binomial_tail(self):
         n, p, samples = 100, 0.05, 10 ** 5
         emp = multbin_lb_check(n, p, samples, random.Random(9))

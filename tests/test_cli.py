@@ -443,6 +443,12 @@ class TestMeasurementCommands:
         assert rec["mean"] >= 1.0
         assert "growth_lb" in rec
 
+    def test_ea0_huge_lambda(self, tmp_path):
+        code, data = _run(tmp_path, "ea0", "--n", "50", "--mu", "4",
+                          "--lambda", "1000000000", "--replicates", "5")
+        assert code == 0
+        assert json.loads(data)["mean"] >= 1.0
+
     def test_dominance(self, tmp_path):
         code, data = _run(tmp_path, "dominance", "--n", "10", "--mu", "2",
                           "--lambda", "2", "--replicates", "60", "--seed", "3")

@@ -1,8 +1,8 @@
 """Takeover and level-time measurements against exact chains and bounds."""
 
-import dataclasses
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,7 +10,6 @@ from ealab import (ConfigError, EaConfig, Ea0Spec, EvolutionState, OneMax,
                    TakeoverSpec, ea0_growth_lb, ea0_once, measure_level_time,
                    measure_takeover, min_level_bound_general, mix64, run_ea0,
                    summarize, takeover_bound_general)
-from ealab.rng import BinomialSampler
 
 import oracles
 
@@ -153,22 +152,15 @@ class TestEa0:
         assert stats.exhausted == 0
         assert stats.mean >= floor - 3 * stats.stderr
 
-
-    def test_tables_built_once(self, monkeypatch):
-        spec = Ea0Spec(20, 8, 16, 1, 8, replicates=200, seed=7)
-        builds = []
-        init = BinomialSampler.__init__
-
-        def counting_init(self, n, p):
-            builds.append((n, p))
-            init(self, n, p)
-
-        monkeypatch.setattr(BinomialSampler, "__init__", counting_init)
-        run_ea0(spec)
-        assert len(builds) <= spec.j2 - spec.j1     # one table per count j
-        builds.clear()
-        run_ea0(dataclasses.replace(spec, seed=8))
-        assert builds == []
+    def test_huge_lambda_in_constant_memory(self):
+        tracemalloc.start()
+        try:
+            t, _ = ea0_once(random.Random(3), 50, 4, 10 ** 7, 1, 4, cap=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t is not None
+        assert peak < 10 ** 6
 
 
 class TestLevelTime:

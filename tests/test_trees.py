@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,18 @@ class TestPOpt:
         check = verify_p_opt(root, target, 1, 10 ** 18, random.Random(5))
         assert 0.0 < check.exact < sys.float_info.min
         assert check.hits == 0
+
+    def test_huge_sample_count_in_constant_memory(self):
+        # n = 2 makes the hit rate 1/4, so the count is about 2.5e6
+        tracemalloc.start()
+        try:
+            check = verify_p_opt(BitString.zeros(2), BitString.from_string("01"), 1,
+                                 10 ** 7, random.Random(6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(check.hits - 2.5e6) <= 4 * math.sqrt(10 ** 7 * 0.25 * 0.75)
+        assert peak < 10 ** 6
 
 
 class TestHitLaw:
