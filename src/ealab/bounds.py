@@ -41,6 +41,14 @@ class BoundReport:
     regime: str          # "General" or "FastLambda"
 
 
+def _ratio(lam: int, mu: int) -> float:
+    """lam / mu as a float; ConfigError where it is past the float range."""
+    try:
+        return lam / mu
+    except OverflowError:
+        raise ConfigError("lambda/mu is past the float range") from None
+
+
 def master_bound(n: int, mu: int, lam: int) -> BoundReport:
     """Evaluate the master runtime bound expression at (n, mu, lam).
 
@@ -50,10 +58,13 @@ def master_bound(n: int, mu: int, lam: int) -> BoundReport:
         raise ConfigError("master bound needs n >= 2")
     if mu < 1 or lam < 1:
         raise ConfigError("mu and lambda must be >= 1")
-    ratio = lam / mu
-    term_coupon = n * math.log(n) / lam
-    term_pop = n * mu / lam
-    term_fast = n * log_plus(log_plus(ratio)) / log_plus(ratio)
+    ratio = _ratio(lam, mu)
+    try:
+        term_coupon = n * math.log(n) / lam
+        term_pop = n * mu / lam
+        term_fast = n * log_plus(log_plus(ratio)) / log_plus(ratio)
+    except OverflowError:
+        raise ConfigError("n, mu and lambda must lie within the float range") from None
     regime = "FastLambda" if ratio >= FAST_REGIME else "General"
     return BoundReport(n, mu, lam, term_coupon, term_pop, term_fast,
                        term_coupon + term_pop + term_fast, regime)
@@ -71,7 +82,7 @@ class PhaseParams:
 
 def phase_params(n: int, mu: int, lam: int) -> PhaseParams:
     """Phase parameters; defined for lambda/mu >= e^e (gamma >= 1 there)."""
-    ratio = lam / mu
+    ratio = _ratio(lam, mu)
     if ratio < FAST_REGIME:
         raise ConfigError("phase parameters need lambda/mu >= e^e")
     log_ratio = math.log(ratio)

@@ -234,6 +234,8 @@ def _cmd_sweep(args):
     table = sweep(spec, workers=args.workers)
     valid = [r for r in table.rows if r.error is None]
     if not valid:
+        # the table still carries every cell's error row
+        print(f"error: {table.rows[0].error}", file=sys.stderr)
         code = EXIT_VALIDATION
     elif all(r.exhausted == r.replicates for r in valid):
         code = EXIT_EXHAUSTED

@@ -71,6 +71,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, repeat
+from time import perf_counter
 
 from .bounds import master_bound
 from .genotype import (ConfigError, MultiOptOneMax, OneMax, UniqueOptGeneric,
@@ -84,6 +85,10 @@ DEFAULT_BUDGET_MULT = 10.0
 
 #: fitness types whose offspring fitness depends on the parent's fitness alone
 LUMPABLE = (OneMax, MultiOptOneMax, UniqueOptGeneric)
+
+#: seconds of in-process work after which a batch with workers > 1 hands its
+#: remaining replicates to a process pool (see run_batch)
+POOL_AFTER_S = 0.1
 
 
 class Variant(Enum):
@@ -584,31 +589,57 @@ def run_batch(config: EaConfig, f, replicates: int, workers: int | None = None):
     Results are keyed by replicate index, so the output is bit-identical for
     any worker count and any scheduling.
 
+    Every batch starts in this process and runs its replicates in index
+    order. With workers > 1 it hands the replicates left to a process pool
+    once two things hold: the time spent so far has passed POOL_AFTER_S, and
+    so has the projected rest, spent / done * left. So a batch of under
+    about 2 * POOL_AFTER_S stays in this process, and a longer one runs about
+    POOL_AFTER_S of it here before the pool starts; the forked workers
+    inherit the level tables built so far. The constant sits at the
+    measured crossover: on a 2-core host, (1+1) batches at n = 5000 with
+    warm tables ran 0.3-0.7x as fast in a two-worker pool as in one process
+    up to 0.03 s of serial work, broke even at about 0.06-0.1 s, and ran
+    1.3-1.5x as fast from 0.11 s on.
+
+    The pool has min(workers, replicates left, CPUs) workers, since a
+    fork-started pool forks all of them at the first submit, and gets about
+    four chunks per worker; a pool of one would only add a fork and
+    pickling, so a batch clamped to one worker stays in this process.
+
     A worker returns each chunk of results as one pickle, which this thread
     loads. Had the pool's result thread unpickled them, the traces would sit
     in a per-thread malloc arena whose footprint depends on thread timing:
     the peak RSS of one and the same batch-pool benchmark run then ranged
     over 71-93 MB, against 74-76 MB this way.
-
-    A fork-started pool forks all its workers at the first submit, so the
-    pool never has more workers than replicates or CPUs; the batch is cut
-    into about four chunks per worker of that pool.
     """
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
     config.validate()
     seeds = [mix64(config.seed, r) for r in range(replicates)]
-    if workers is not None and workers > 1:
-        jobs = [(config, f, s) for s in seeds]
-        size = min(workers, replicates, os.cpu_count() or 1)
-        chunk = max(1, replicates // (size * 4))
-        chunks = [jobs[i:i + chunk] for i in range(0, replicates, chunk)]
-        results = []
-        with ProcessPoolExecutor(max_workers=size) as ex:
-            for blob in ex.map(_run_chunk, chunks):
-                results += pickle.loads(blob)
-        return results
-    return [run(replace(config, seed=s), f) for s in seeds]
+    cap = min(workers or 1, os.cpu_count() or 1)
+    results = []
+    start = perf_counter()
+    for r, seed in enumerate(seeds):
+        left = replicates - r
+        size = min(cap, left)
+        if r and size > 1:
+            spent = perf_counter() - start
+            if spent >= POOL_AFTER_S and spent / r * left >= POOL_AFTER_S:
+                return results + _pooled(config, f, seeds[r:], size)
+        results.append(run(replace(config, seed=seed), f))
+    return results
+
+
+def _pooled(config, f, seeds, size):
+    # run_batch's remaining replicates in a pool of `size` workers
+    jobs = [(config, f, s) for s in seeds]
+    chunk = max(1, len(jobs) // (size * 4))
+    chunks = [jobs[i:i + chunk] for i in range(0, len(jobs), chunk)]
+    results = []
+    with ProcessPoolExecutor(max_workers=size) as ex:
+        for blob in ex.map(_run_chunk, chunks):
+            results += pickle.loads(blob)
+    return results
 
 
 class EvolutionState:

@@ -59,6 +59,15 @@ class TestMasterBound:
             with pytest.raises(ConfigError):
                 master_bound(n, mu, lam)
 
+    @pytest.mark.parametrize("n,mu,lam", [
+        (64, 1, 10 ** 400),            # lambda/mu past the float range
+        (64, 10 ** 400, 10 ** 400),    # lambda/mu = 1, lambda alone past it
+        (10 ** 400, 1, 1),
+    ])
+    def test_past_the_float_range(self, n, mu, lam):
+        with pytest.raises(ConfigError):
+            master_bound(n, mu, lam)
+
     @given(st.integers(2, 10 ** 6), st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
     @settings(max_examples=200, deadline=None)
     def test_total_dominates_each_term(self, n, mu, lam):
@@ -85,6 +94,10 @@ class TestPhaseParams:
     def test_requires_fast_regime(self):
         with pytest.raises(ConfigError):
             phase_params(100, 4, 40)
+
+    def test_ratio_past_the_float_range(self):
+        with pytest.raises(ConfigError):
+            phase_params(100, 1, 10 ** 400)
 
 
 class TestTakeoverGeneral:

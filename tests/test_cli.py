@@ -136,6 +136,21 @@ class TestBudgetAndCaps:
         assert capsys.readouterr().err.count("\n") == 1
 
 
+class TestHugeLambda:
+    LAM = "1" + "0" * 400    # lambda/mu past the float range
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--n", "64"),
+        ("sweep", "--n", "64", "--replicates", "2"),
+        ("bounds", "--n", "64"),
+    ], ids=["run", "sweep", "bounds"])
+    def test_exits_validation(self, tmp_path, capsys, argv):
+        code, _ = _run(tmp_path, *argv, "--lambda", self.LAM)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: lambda/mu is past the float range\n"
+
+
 class TestStrictJson:
     def test_sweep_error_row_is_null(self, tmp_path):
         code, data = _run(tmp_path, "sweep", "--n", "1,10", "--replicates", "3",

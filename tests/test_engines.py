@@ -184,11 +184,24 @@ class TestChangePoints:
         # some run's last change comes before the budget runs out
         assert any(res.changes[-3] < budget for res in results)
 
-    def test_pool_returns_what_one_worker_does(self):
+    def test_pool_returns_what_one_worker_does(self, monkeypatch):
+        # the real fork pool: the first two replicates pass POOL_AFTER_S, so
+        # the other 14 go to two forked workers
         cfg = EaConfig(40, 2, 3, seed=44, max_iterations=60)
         f = OneMax(40)
         serial = run_batch(cfg, f, 16, workers=1)
+        starts = []
+
+        class CountedPool(engines.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                starts.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(engines, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(engines.os, "cpu_count", lambda: 2)
+        _charge(monkeypatch, lambda i: 0.6 * engines.POOL_AFTER_S if i < 2 else 0.0)
         pooled = run_batch(cfg, f, 16, workers=2)
+        assert starts == [2]
         assert any(r.exhausted for r in serial) and any(r.hit_optimum for r in serial)
         assert pooled == serial
         assert [r.best_fitness_trace for r in pooled] == [r.best_fitness_trace for r in serial]
@@ -213,37 +226,99 @@ class TestBatchExecution:
         with pytest.raises(ConfigError):
             run_batch(EaConfig(10, 1, 1), OneMax(10), 0)
 
-    @pytest.mark.parametrize("workers,replicates,cpus,size", [
+    @pytest.mark.parametrize("workers,left,cpus,size", [
         (10 ** 5, 5, 4, 4),     # no more workers than CPUs
-        (3, 2, 4, 2),           # ... nor than replicates
+        (3, 2, 4, 2),           # ... nor than replicates left
         (2, 50, 4, 2),
-        (2, 50, None, 1),       # unknown CPU count: one worker, still a pool
+        (2, 50, None, 1),       # unknown CPU count: one worker, so no pool
     ])
-    def test_pool_size_is_clamped(self, monkeypatch, workers, replicates, cpus, size):
+    def test_pool_size_is_clamped(self, monkeypatch, workers, left, cpus, size):
+        # the first replicate passes POOL_AFTER_S; `left` replicates remain
         pool = _serial_pool(monkeypatch, cpus)
+        _charge(monkeypatch, lambda i: 1.0 if i == 0 else 0.0)
         cfg = EaConfig(10, 2, 3, seed=3)
         f = OneMax(10)
-        assert run_batch(cfg, f, replicates, workers=workers) == run_batch(cfg, f, replicates)
-        assert pool["sizes"] == [size]
+        assert run_batch(cfg, f, left + 1, workers=workers) == run_batch(cfg, f, left + 1)
+        assert pool["sizes"] == ([size] if size > 1 else [])
 
     def test_chunks_follow_the_clamped_pool(self, monkeypatch):
-        # 10^5 workers asked for on 2 CPUs: a pool of 2 and four chunks per
-        # worker, not 2,000 one-replicate chunks
+        # 10^5 workers asked for on 2 CPUs, 1,600 replicates left after the
+        # switch: a pool of 2 and four chunks per worker, not 1,600
+        # one-replicate chunks
         pool = _serial_pool(monkeypatch, 2)
+        _charge(monkeypatch, lambda i: 1.0 if i == 399 else 0.0)
         cfg = EaConfig(10, 1, 1, seed=11)
         f = OneMax(10)
         assert run_batch(cfg, f, 2000, workers=10 ** 5) == run_batch(cfg, f, 2000)
-        assert pool == {"sizes": [2], "chunks": 8}
+        assert pool["sizes"] == [2] and pool["chunks"] == 8
+        assert len(pool["jobs"]) == 1600
+
+
+class TestPoolRule:
+    """When run_batch leaves its own process, timed by a fake clock that
+    charges each replicate a set cost."""
+
+    CFG = EaConfig(16, 2, 3, seed=21)
+    F = OneMax(16)
+
+    def test_short_batch_builds_no_pool(self, monkeypatch):
+        pool = _serial_pool(monkeypatch, 4)
+        _charge(monkeypatch, lambda i: engines.POOL_AFTER_S / 24)
+        assert run_batch(self.CFG, self.F, 12, workers=4) == run_batch(self.CFG, self.F, 12)
+        assert pool["sizes"] == []
+
+    def test_short_rest_builds_no_pool(self, monkeypatch):
+        # the time spent passes POOL_AFTER_S after 10 replicates, but the
+        # projected cost of the 2 left is under it
+        pool = _serial_pool(monkeypatch, 4)
+        _charge(monkeypatch, lambda i: engines.POOL_AFTER_S / 9.5)
+        assert run_batch(self.CFG, self.F, 12, workers=4) == run_batch(self.CFG, self.F, 12)
+        assert pool["sizes"] == []
+
+    def test_long_batch_builds_one_pool_for_the_rest(self, monkeypatch):
+        # 0.3 POOL_AFTER_S per replicate: the fourth one passes it, and 6
+        # replicates are left for a pool of min(8, 6, 16)
+        pool = _serial_pool(monkeypatch, 16)
+        _charge(monkeypatch, lambda i: 0.3 * engines.POOL_AFTER_S)
+        assert run_batch(self.CFG, self.F, 10, workers=8) == run_batch(self.CFG, self.F, 10)
+        assert pool["sizes"] == [6]
+        assert [seed for _, _, seed in pool["jobs"]] == [mix64(21, r) for r in range(4, 10)]
+
+    @pytest.mark.parametrize("switch", range(1, 12))
+    def test_any_switch_point_keeps_the_results(self, monkeypatch, switch):
+        serial = run_batch(self.CFG, self.F, 12, workers=1)
+        pool = _serial_pool(monkeypatch, 3)
+        _charge(monkeypatch, lambda i: 1.0 if i == switch - 1 else 0.0)
+        assert run_batch(self.CFG, self.F, 12, workers=3) == serial
+        left = 12 - switch
+        assert pool["sizes"] == ([min(3, left)] if left > 1 else [])
+        assert len(pool["jobs"]) == (left if left > 1 else 0)
+
+
+def _charge(monkeypatch, cost):
+    """Replace the engine's clock with one that moves only when a replicate
+    runs: the i-th run in this process (from 0) advances it cost(i) seconds."""
+    now = [0.0]
+    calls = [0]
+    real_run = engines.run
+
+    def charged_run(config, f):
+        now[0] += cost(calls[0])
+        calls[0] += 1
+        return real_run(config, f)
+
+    monkeypatch.setattr(engines, "perf_counter", lambda: now[0])
+    monkeypatch.setattr(engines, "run", charged_run)
 
 
 def _serial_pool(monkeypatch, cpus):
     """Stand in for the process pool on a host with `cpus` CPUs.
 
     A fork-started pool forks all its workers at once, so the stand-in maps
-    in this process. It records the pool sizes asked for and the number of
-    chunks mapped in the dict it returns.
+    in this process. It records, in the dict it returns, the pool sizes
+    asked for, the number of chunks mapped and the jobs in them.
     """
-    seen = {"sizes": [], "chunks": 0}
+    seen = {"sizes": [], "chunks": 0, "jobs": []}
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -258,6 +333,8 @@ def _serial_pool(monkeypatch, cpus):
         def map(self, fn, items):
             items = list(items)
             seen["chunks"] += len(items)
+            for chunk in items:
+                seen["jobs"] += chunk
             return map(fn, items)
 
     monkeypatch.setattr(engines, "ProcessPoolExecutor", SerialPool)
