@@ -592,14 +592,23 @@ def run_batch(config: EaConfig, f, replicates: int, workers: int | None = None):
     Every batch starts in this process and runs its replicates in index
     order. With workers > 1 it hands the replicates left to a process pool
     once two things hold: the time spent so far has passed POOL_AFTER_S, and
-    so has the projected rest, spent / done * left. So a batch of under
-    about 2 * POOL_AFTER_S stays in this process, and a longer one runs about
-    POOL_AFTER_S of it here before the pool starts; the forked workers
-    inherit the level tables built so far. The constant sits at the
-    measured crossover: on a 2-core host, (1+1) batches at n = 5000 with
-    warm tables ran 0.3-0.7x as fast in a two-worker pool as in one process
-    up to 0.03 s of serial work, broke even at about 0.06-0.1 s, and ran
-    1.3-1.5x as fast from 0.11 s on.
+    so has the projected rest, spent / done * left. The forked workers
+    inherit the level tables built so far. POOL_AFTER_S is where a pool
+    began to pay: on a 2-core host, (1+1) batches at n = 5000 with warm
+    tables ran 0.3-0.7x as fast in a two-worker pool as in one process up
+    to 0.03 s of serial work, broke even at about 0.06-0.1 s, and ran
+    1.3-1.5x as fast from 0.11 s on. The rule pools later than that
+    crossover, because a projection from the first few replicates
+    overshoots: run times are skewed and the first replicate may build
+    tables. On the batch-pool benchmark's batches of 0.01-0.08 s in all,
+    the projection after one replicate read up to 0.95 s.
+
+    So a batch of under about 2 * POOL_AFTER_S stays in this process, and
+    so does one of two replicates. A longer batch runs max(POOL_AFTER_S,
+    one replicate) here before the pool starts, which costs most where a
+    few long replicates meet warm tables: fairplus (1024, 1024, 1024) with
+    2 replicates and workers = 2 took about 0.48 s this way against 0.25 s
+    in a pool from the start.
 
     The pool has min(workers, replicates left, CPUs) workers, since a
     fork-started pool forks all of them at the first submit, and gets about

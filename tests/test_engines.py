@@ -190,15 +190,7 @@ class TestChangePoints:
         cfg = EaConfig(40, 2, 3, seed=44, max_iterations=60)
         f = OneMax(40)
         serial = run_batch(cfg, f, 16, workers=1)
-        starts = []
-
-        class CountedPool(engines.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                starts.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(engines, "ProcessPoolExecutor", CountedPool)
-        monkeypatch.setattr(engines.os, "cpu_count", lambda: 2)
+        starts = _forking_pool(monkeypatch, 2)
         _charge(monkeypatch, lambda i: 0.6 * engines.POOL_AFTER_S if i < 2 else 0.0)
         pooled = run_batch(cfg, f, 16, workers=2)
         assert starts == [2]
@@ -209,18 +201,28 @@ class TestChangePoints:
 
 
 class TestBatchExecution:
-    def test_workers_do_not_change_results(self):
+    def test_workers_do_not_change_results(self, monkeypatch):
+        # the first replicate passes POOL_AFTER_S; two forked workers run
+        # the other 7
         cfg = EaConfig(18, 2, 3, seed=77)
         f = OneMax(18)
         serial = run_batch(cfg, f, 8)
+        starts = _forking_pool(monkeypatch, 2)
+        _charge(monkeypatch, lambda i: 1.0 if i == 0 else 0.0)
         parallel = run_batch(cfg, f, 8, workers=2)
+        assert starts == [2]
         assert serial == parallel
 
-    def test_uneven_chunks_keep_replicate_order(self):
-        # 37 replicates over 3 workers: chunks of 3, the last one short
+    def test_uneven_chunks_keep_replicate_order(self, monkeypatch):
+        # the first two replicates pass POOL_AFTER_S; the 35 left go to 3
+        # forked workers in chunks of 2, the last one short
         cfg = EaConfig(12, 3, 4, Variant.COMMA, seed=5)
         f = OneMax(12)
-        assert run_batch(cfg, f, 37, workers=3) == run_batch(cfg, f, 37)
+        serial = run_batch(cfg, f, 37)
+        starts = _forking_pool(monkeypatch, 3)
+        _charge(monkeypatch, lambda i: 1.0 if i == 1 else 0.0)
+        assert run_batch(cfg, f, 37, workers=3) == serial
+        assert starts == [3]
 
     def test_replicate_validation(self):
         with pytest.raises(ConfigError):
@@ -309,6 +311,21 @@ def _charge(monkeypatch, cost):
 
     monkeypatch.setattr(engines, "perf_counter", lambda: now[0])
     monkeypatch.setattr(engines, "run", charged_run)
+
+
+def _forking_pool(monkeypatch, cpus):
+    """Count the real fork pools built on a host taken to have `cpus` CPUs;
+    the list returned gets each pool's size."""
+    starts = []
+
+    class CountedPool(engines.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            starts.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(engines, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(engines.os, "cpu_count", lambda: cpus)
+    return starts
 
 
 def _serial_pool(monkeypatch, cpus):
