@@ -3,10 +3,10 @@ algorithms on bit-string benchmarks and checking the runs against closed-form
 runtime bounds."""
 
 from .bounds import (BoundReport, FAST_REGIME, PhaseParams, bernoulli_lb,
-                     ea0_growth_lb, fitness_level_sum, level_bound_fast,
-                     level_bound_general, log_plus, master_bound,
-                     min_level_bound_general, multbin_lb_check, phase_params,
-                     sudholt_bound, takeover_bound_fast, takeover_bound_general)
+                     ea0_growth_lb, level_bound_fast, level_bound_general,
+                     log_plus, master_bound, min_level_bound_general,
+                     multbin_lb_check, phase_params, sudholt_bound,
+                     takeover_bound_fast, takeover_bound_general)
 from .engines import (EaConfig, EvolutionState, RunResult, Variant,
                       resolve_budget, run, run_batch)
 from .genotype import (BitString, ConfigError, MultiOptOneMax, OneMax,
@@ -36,7 +36,7 @@ __all__ = [
     "SampleStats", "SweepSpec", "TakeoverSpec", "UniqueOptGeneric",
     "Variant", "bernoulli_lb", "build_complete_tree",
     "compare_dominance", "count_at_distance", "ea0_growth_lb", "ea0_once",
-    "emit", "evaluate", "fit_ratio", "fitness_level_sum", "is_optimal",
+    "emit", "evaluate", "fit_ratio", "is_optimal",
     "level_bound_fast", "level_bound_general", "log_plus", "make_fitness",
     "master_bound", "measure_level_time", "measure_takeover",
     "min_level_bound_general", "mix64", "multbin_lb_check", "mutate",

@@ -182,15 +182,6 @@ def sudholt_bound(mu: int, lam: int) -> float:
     return _ceil_log5(mu) * (32.0 / (1.0 - 1.0 / math.e) * mu / lam + 1.0)
 
 
-def fitness_level_sum(level_times) -> float:
-    """Sum of expected level-leaving times (the fitness-level upper bound)."""
-    times = list(level_times)
-    for t in times:
-        if t < 0:
-            raise ConfigError("level times must be nonnegative")
-    return math.fsum(times)
-
-
 def bernoulli_lb(x: float, n: float) -> float:
     """Lower bound 1/(1 + 1/(x n)) for 1 - (1-x)^n; exact 0 at x = 0."""
     if not 0.0 <= x <= 1.0:

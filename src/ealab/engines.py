@@ -1,5 +1,5 @@
-"""The three algorithm variants: a fitness-level engine behind `run`, and a
-genotype engine for identity instrumentation.
+"""The three algorithm variants: the fitness-level chain, the one engine
+behind `run`, and a genotype engine for identity instrumentation.
 
 Variants: elitist plus-selection (best mu of mu+lambda), comma-selection
 (best mu of the lambda offspring, needs lambda >= mu), and the fair-parent
@@ -55,8 +55,8 @@ they are read.
 
 `EvolutionState` runs the genotype process one iteration at a time and
 exposes offspring parentage and survivor sources, which the marker takeover
-(i = 0) and family-tree instrumentation build on. It also runs `run` on any
-other fitness object, and tests compare the two engines through it.
+(i = 0) and family-tree instrumentation build on; the tests step it as the
+reference that the chain is compared against.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from time import perf_counter
 from .bounds import master_bound
 from .genotype import (ConfigError, MultiOptOneMax, OneMax, UniqueOptGeneric,
                        mutate_mask)
-from .rng import binomial_pmf, mix64
+from .rng import TAIL_MASS, binomial_pmf, mix64
 
 #: budget applied when EaConfig.max_iterations is None, in multiples of the
 #: master-bound total (rounded up), so sweeps terminate even at adversarial
@@ -85,6 +85,11 @@ DEFAULT_BUDGET_MULT = 10.0
 
 #: fitness types whose offspring fitness depends on the parent's fitness alone
 LUMPABLE = (OneMax, MultiOptOneMax, UniqueOptGeneric)
+
+#: the largest lambda the chain's runtime law is exact for: a level table
+#: drops an upper tail of mass TAIL_MASS, which the best of lambda offspring
+#: reaches with probability up to lambda * TAIL_MASS, kept below 1e-3
+LAMBDA_MAX = 1e-3 / TAIL_MASS
 
 #: seconds of in-process work after which a batch with workers > 1 hands its
 #: remaining replicates to a process pool (see run_batch)
@@ -120,6 +125,9 @@ class EaConfig:
             raise ConfigError(f"mu must be >= 1, got {self.mu}")
         if self.lam < 1:
             raise ConfigError(f"lambda must be >= 1, got {self.lam}")
+        if self.lam > LAMBDA_MAX:   # an int against a float: exact, no overflow
+            raise ConfigError(f"lambda must be <= {LAMBDA_MAX:.4g}, past which the "
+                              "fitness-level chain's runtime law is not exact")
         if not 0.0 < self.c <= self.n:
             raise ConfigError(f"mutation scale c must satisfy 0 < c <= n, got {self.c}")
         if self.variant is Variant.COMMA and self.lam < self.mu:
@@ -530,47 +538,35 @@ def evolve_levels(config: EaConfig, rng, fits, budget: int, k: int, thr: int,
     return t
 
 
+def check_fitness(config: EaConfig, f) -> None:
+    """ConfigError unless f is one of the LUMPABLE benchmarks, whose fitness
+    levels the chain evolves, at the dimension config.n."""
+    if not isinstance(f, LUMPABLE):
+        raise ConfigError(f"cannot construct fitness levels for {f!r}")
+    if f.n != config.n:
+        raise ConfigError(f"dimension mismatch: config n={config.n}, fitness n={f.n}")
+
+
 def run(config: EaConfig, f) -> RunResult:
-    """Execute one run of the configured variant on fitness f.
+    """Execute one run of the configured variant on the benchmark f.
 
     The initial population is uniform random. Termination is checked on the
     initial population and then after every selection step; running out of
-    budget is a normal, flagged result, never an exception. On the LUMPABLE
-    benchmarks the run is the fitness-level chain of evolve_levels; any other
-    fitness object is run on genotypes by EvolutionState.
+    budget is a normal, flagged result, never an exception. `run` has one
+    engine, the fitness-level chain of evolve_levels, so f must be one of the
+    LUMPABLE benchmarks; any other fitness raises ConfigError before a draw.
     """
     config.validate()
-    if f.n != config.n:
-        raise ConfigError(f"dimension mismatch: config n={config.n}, fitness n={f.n}")
-    n, mu, lam = config.n, config.mu, config.lam
+    check_fitness(config, f)
+    mu, lam = config.mu, config.lam
     rng = random.Random(config.seed)
     budget = resolve_budget(config)
+    fits = [f.value(rng.getrandbits(config.n)) for _ in range(mu)]
     changes = []
-    if isinstance(f, LUMPABLE):
-        fits = [f.value(rng.getrandbits(n)) for _ in range(mu)]
-        t = evolve_levels(config, rng, fits, budget, 1, f.opt_threshold, changes)
-    else:
-        t = _step_to_optimum(EvolutionState(config, f, rng=rng), budget, changes)
+    t = evolve_levels(config, rng, fits, budget, 1, f.opt_threshold, changes)
     if t is None:
         return RunResult(None, mu + lam * budget, budget, tuple(changes), False)
     return RunResult(t, mu + lam * t, t, tuple(changes), True)
-
-
-def _step_to_optimum(es, budget, changes):
-    # the genotype engine's run; change points by evolve_levels' rule
-    thr = es.fitness.opt_threshold
-    t = 0
-    while True:
-        best = es.best_fitness
-        count = es.fits.count(best)
-        if not changes or best != changes[-2] or count != changes[-1]:
-            changes.extend((t, best, count))
-        if best >= thr:
-            return t
-        if t >= budget:
-            return None
-        es.step()
-        t += 1
 
 
 def _run_one(args):

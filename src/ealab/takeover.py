@@ -24,8 +24,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .bounds import takeover_bound_general
-from .engines import (LUMPABLE, EaConfig, EvolutionState, Variant,
+from .bounds import _ratio, takeover_bound_general
+from .engines import (EaConfig, EvolutionState, Variant, check_fitness,
                       evolve_levels, resolve_budget)
 from .genotype import ConfigError, OneMax
 from .rng import binomial_draw, mix64
@@ -78,6 +78,7 @@ class Ea0Spec:
                 f"need 1 <= j1 < j2 <= mu, got j1={self.j1}, j2={self.j2}, mu={self.mu}")
         if self.n < 2 or self.lam < 1:
             raise ConfigError("need n >= 2 and lambda >= 1")
+        _ratio(self.lam, self.mu)   # ConfigError where lambda/mu is past the float range
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if self.max_iterations is not None and self.max_iterations < 1:
@@ -192,10 +193,7 @@ def measure_level_time(config: EaConfig, f, i: int, replicates: int) -> SampleSt
     (all mu at 0 when i = 0). The runs evolve fitness levels, so f must be
     one of the LUMPABLE benchmarks."""
     config.validate()
-    if not isinstance(f, LUMPABLE):
-        raise ConfigError(f"cannot construct fitness levels for {f!r}")
-    if f.n != config.n:
-        raise ConfigError(f"dimension mismatch: config n={config.n}, fitness n={f.n}")
+    check_fitness(config, f)
     if not 0 <= i <= config.n - 1:
         raise ConfigError(f"need 0 <= i <= n-1, got i={i}, n={config.n}")
     if replicates < 1:

@@ -209,7 +209,7 @@ def q_opt_bound(t: int, n: int, mu: int, lam: int) -> QOptBound:
     An exact-rational cross-check is `q_opt_bound_exact`."""
     if t < 0 or n < 2 or mu < 1 or lam < 1:
         raise ConfigError("need t >= 0, n >= 2, mu >= 1, lambda >= 1")
-    log_ratio = math.log(lam / mu)
+    log_ratio = math.log(lam) - math.log(mu)   # lam / mu may be past the float range
     log_mu = math.log(mu)
     log_comb = 0.0                          # log C(t, ell), one factor at a time
     log_terms = []

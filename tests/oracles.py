@@ -1,16 +1,22 @@
 """Independent reference computations backing the test suite.
 
-Everything here re-derives expected values from first principles with its own
-arithmetic (exact rationals or absorbing-chain back-substitution) and shares
-no code with the package beyond the standard library, so agreement between
-package and oracle is evidence rather than circularity.
+Everything here but `genotype_batch` re-derives expected values from first
+principles with its own arithmetic (exact rationals or absorbing-chain
+back-substitution) and shares no code with the package beyond the standard
+library, so agreement between package and oracle is evidence rather than
+circularity. `genotype_batch` steps the package's genotype engine, which
+shares no step with the fitness-level chain behind `ealab.run`.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_right
 from fractions import Fraction
+
+from ealab.engines import EvolutionState, RunResult, resolve_budget
+from ealab.rng import mix64
 
 
 def popcount_slow(mask: int) -> int:
@@ -221,3 +227,32 @@ def per_offspring_levels(n: int, mu: int, lam: int, comma: bool, rng, fits) -> i
         fits = pool[-mu:]
         t += 1
     return t
+
+
+def genotype_batch(config, f, replicates: int) -> list:
+    """RunResults of `replicates` genotype runs of config on f, the reference
+    for the fitness-level chain behind `ealab.run_batch`.
+
+    Replicate r steps EvolutionState from seed mix64(config.seed, r), the
+    seed run_batch gives it, under run's budget and stopping rule, and
+    records change points by RunResult's rule.
+    """
+    budget = resolve_budget(config)
+    results = []
+    for r in range(replicates):
+        es = EvolutionState(config, f, rng=random.Random(mix64(config.seed, r)))
+        changes = []
+        t = 0
+        while True:
+            best = es.best_fitness
+            count = es.fits.count(best)
+            if not changes or (best, count) != (changes[-2], changes[-1]):
+                changes += (t, best, count)
+            if best >= f.opt_threshold or t >= budget:
+                break
+            es.step()
+            t += 1
+        hit = best >= f.opt_threshold
+        results.append(RunResult(t if hit else None, config.mu + config.lam * t, t,
+                                 tuple(changes), hit))
+    return results

@@ -138,17 +138,39 @@ class TestBudgetAndCaps:
 
 class TestHugeLambda:
     LAM = "1" + "0" * 400    # lambda/mu past the float range
+    PAST_FLOAT = "error: lambda/mu is past the float range\n"
+    PAST_EXACT = ("error: lambda must be <= 1.153e+15, past which the "
+                  "fitness-level chain's runtime law is not exact\n")
 
-    @pytest.mark.parametrize("argv", [
-        ("run", "--n", "64"),
-        ("sweep", "--n", "64", "--replicates", "2"),
-        ("bounds", "--n", "64"),
-    ], ids=["run", "sweep", "bounds"])
-    def test_exits_validation(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv,err", [
+        (("run", "--n", "64"), PAST_FLOAT),
+        (("sweep", "--n", "64", "--replicates", "2"), PAST_FLOAT),
+        (("bounds", "--n", "64"), PAST_FLOAT),
+        (("ea0", "--n", "20", "--mu", "4"), PAST_FLOAT),
+        (("takeover", "--n", "20", "--mu", "4"), PAST_EXACT),
+    ], ids=["run", "sweep", "bounds", "ea0", "takeover"])
+    def test_exits_validation(self, tmp_path, capsys, argv, err):
         code, _ = _run(tmp_path, *argv, "--lambda", self.LAM)
         assert code == 2
-        err = capsys.readouterr().err
-        assert err == "error: lambda/mu is past the float range\n"
+        assert capsys.readouterr().err == err
+
+    def test_run_rejects_lambda_past_exact_law(self, tmp_path, capsys):
+        # a level table cuts its upper tail at TAIL_MASS = 2^-60, so past
+        # lambda = 1e-3 / TAIL_MASS the chain would answer with a wrong law
+        argv = ("run", "--n", "64", "--mu", "1", "--replicates", "20")
+        code, _ = _run(tmp_path, *argv, "--lambda", str(10 ** 30))
+        assert code == 2
+        assert capsys.readouterr().err == self.PAST_EXACT
+        code, data = _run(tmp_path, *argv, "--lambda", str(10 ** 15))
+        assert code == 0
+        assert data.decode().splitlines()[1].startswith(f"64,1,{10 ** 15},plus,20,")
+
+    def test_tree_clamps_q_opt(self, tmp_path):
+        code, data = _run(tmp_path, "tree", "--n", "16", "--t", "2", "--ell", "1",
+                          "--lambda", self.LAM)
+        assert code == 0
+        rec = _strict_json(data)
+        assert rec["q_opt_raw"] is None and rec["q_opt"] == 1.0
 
 
 class TestStrictJson:

@@ -5,6 +5,7 @@ import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import scipy.stats as sps
@@ -26,9 +27,11 @@ class TestConfigValidation:
     def test_basic_ranges(self):
         for bad in (EaConfig(0, 1, 1), EaConfig(5, 0, 1), EaConfig(5, 1, 0),
                     EaConfig(5, 1, 1, c=0.0), EaConfig(5, 1, 1, c=6.0),
-                    EaConfig(5, 1, 1, max_iterations=0)):
+                    EaConfig(5, 1, 1, max_iterations=0),
+                    EaConfig(5, 1, 10 ** 30), EaConfig(5, 1, 10 ** 400)):
             with pytest.raises(ConfigError):
                 bad.validate()
+        EaConfig(5, 1, 10 ** 15).validate()
 
     def test_comma_needs_enough_offspring(self):
         with pytest.raises(ConfigError):
@@ -160,8 +163,8 @@ class TestChangePoints:
     ])
     def test_change_points_are_minimal(self, variant, mu, lam, genotype):
         cfg = EaConfig(24, mu, lam, variant, seed=42, max_iterations=400)
-        f = _Opaque(OneMax(24)) if genotype else OneMax(24)
-        for res in run_batch(cfg, f, 20):
+        batch = oracles.genotype_batch if genotype else run_batch
+        for res in batch(cfg, OneMax(24), 20):
             ts = res.changes[::3]
             assert ts[0] == 0 and ts[-1] <= res.iterations
             assert all(a < b for a, b in zip(ts, ts[1:]))
@@ -174,8 +177,8 @@ class TestChangePoints:
     def test_exhausted_run_expands_to_budget_plus_one(self, genotype):
         budget = 200
         cfg = EaConfig(64, 1, 1, seed=43, max_iterations=budget)
-        f = _Opaque(OneMax(64)) if genotype else OneMax(64)
-        results = run_batch(cfg, f, 20)
+        batch = oracles.genotype_batch if genotype else run_batch
+        results = batch(cfg, OneMax(64), 20)
         assert all(r.exhausted for r in results)
         for res in results:
             assert res.iterations == budget
@@ -438,16 +441,6 @@ class TestEvolutionState:
             best = es.best_fitness
 
 
-class _Opaque:
-    """A benchmark behind a type the fitness-level engine does not know, so
-    run() steps the genotype engine (EvolutionState) on it."""
-
-    def __init__(self, f):
-        self.n = f.n
-        self.opt_threshold = f.opt_threshold
-        self.value = f.value
-
-
 def _agree(xs, ys):
     """Two-sample KS p >= 1e-3, or means within 4 standard errors."""
     if sps.ks_2samp(xs, ys).pvalue >= 1e-3:
@@ -497,7 +490,8 @@ def _table_pmf(lo, cum, n):
 
 
 class TestLumpedEngine:
-    """The fitness-level engine behind run() against the genotype engine."""
+    """The fitness-level engine behind run() against the genotype engine,
+    stepped by oracles.genotype_batch."""
 
     REPLICATES = 400
     SHAPES = [
@@ -521,7 +515,7 @@ class TestLumpedEngine:
     def test_runtime_law_matches_genotype_engine(self, n, mu, lam, variant):
         cfg = EaConfig(n, mu, lam, variant, seed=11)
         lumped = run_batch(cfg, OneMax(n), self.REPLICATES)
-        masks = run_batch(replace(cfg, seed=12), _Opaque(OneMax(n)), self.REPLICATES)
+        masks = oracles.genotype_batch(replace(cfg, seed=12), OneMax(n), self.REPLICATES)
         assert _agree(_times(lumped), _times(masks))
 
     @pytest.mark.parametrize("f", [
@@ -531,7 +525,7 @@ class TestLumpedEngine:
     def test_other_benchmarks_match_genotype_engine(self, f):
         cfg = EaConfig(f.n, 2, 4, seed=13)
         lumped = run_batch(cfg, f, self.REPLICATES)
-        masks = run_batch(replace(cfg, seed=14), _Opaque(f), self.REPLICATES)
+        masks = oracles.genotype_batch(replace(cfg, seed=14), f, self.REPLICATES)
         assert _agree(_times(lumped), _times(masks))
 
     @pytest.mark.parametrize("n,mu,lam,variant,i", [
@@ -711,13 +705,15 @@ class TestLumpedEngine:
         stats = measure_level_time(EaConfig(n, 1, 1, seed=22), OneMax(n), n - 1, 5)
         assert stats.exhausted == 0
 
-    def test_non_benchmark_fitness_uses_genotype_engine(self):
+    def test_non_benchmark_fitness_is_rejected(self, monkeypatch):
+        # OneMax's values behind a type the fitness-level chain does not know
+        f = SimpleNamespace(n=10, opt_threshold=10, value=OneMax(10).value)
         cfg = EaConfig(10, 2, 3, seed=23, max_iterations=500)
-        f = _Opaque(OneMax(10))
-        res = run(cfg, f)
-        es = EvolutionState(cfg, f)
-        trace = [es.best_fitness]
-        while es.best_fitness < 10:
-            es.step()
-            trace.append(es.best_fitness)
-        assert res.best_fitness_trace == tuple(trace)
+        starts = _forking_pool(monkeypatch, 2)
+        with pytest.raises(ConfigError, match="fitness levels"):
+            run(cfg, f)
+        with pytest.raises(ConfigError, match="fitness levels"):
+            run_batch(cfg, f, 16, workers=2)
+        assert starts == []
+        with pytest.raises(ConfigError, match="fitness levels"):
+            measure_level_time(cfg, f, 5, 4)
