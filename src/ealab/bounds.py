@@ -158,8 +158,24 @@ def level_bound_fast(n: int, mu: int, lam: int, i: int, mu0: int) -> float:
 
 
 def min_level_bound_general(n, mu, lam, i):
-    """Scan mu0 in [1..mu] and return (best mu0, minimal general level bound)."""
-    best = min(range(1, mu + 1),
+    """(best mu0 in [1..mu], minimal general level bound), in O(1).
+
+    In a real mu0 = m the bound is m + a(ln m + 1) + b/m with a = 2e mu/lam
+    and b = e mu n/(lam (n - i)). Its slope has the sign of m^2 + a m - b, so
+    it falls up to the one root m* = 2b / (a + sqrt(a^2 + 4b)) and rises
+    after it: the best integer is floor(m*) or ceil(m*), each clamped to
+    [1, mu], and floor wins a tie, as the first of a scan would. The root is
+    taken through hypot, since squaring a overflows from mu/lam ~ 2.5e153.
+    """
+    if not 0 <= i <= n - 1:
+        raise ConfigError(f"need 0 <= i <= n-1, got i={i}, n={n}")
+    try:
+        a = _2E * mu / lam
+        b = math.e * mu * n / (lam * (n - i))
+        root = 2.0 * b / (a + math.hypot(a, 2.0 * math.sqrt(b)))
+    except OverflowError:
+        raise ConfigError("n, mu and lambda must lie within the float range") from None
+    best = min((min(max(m, 1), mu) for m in (math.floor(root), math.ceil(root))),
                key=lambda m0: level_bound_general(n, mu, lam, i, m0))
     return best, level_bound_general(n, mu, lam, i, best)
 

@@ -34,8 +34,8 @@ from the worst value w upwards, and memoised for the iteration.
   displace (at most mu of them).
 * Comma: A = 1 and exactly mu draws; the population is the best mu. These
   may fall below w, so M's survival is walked from the bottom of its
-  support, and it is kept for the last 256 populations seen at the same
-  (n, p), which small comma runs revisit over and over.
+  support, and it is kept for the 4096 populations (over all (n, p)) used
+  most recently, which small comma runs revisit over and over.
 * Fairplus: level g has exactly c_g offspring, so each level runs the same
   descent with its own law and c_g in place of lam. An iteration is idle
   with probability prod_g (1 - u_g)^c_g, u_g = Pr(offspring of g > w); the
@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 import random
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
@@ -307,14 +306,12 @@ def _support(pmf):
 
 
 class _Tables(dict):
-    """Map from a fitness level to its table, filled on first visit;
-    `mixtures` holds _comma_survival's results, keyed by population."""
+    """Map from a fitness level to its table, filled on first visit."""
 
     def __init__(self, n, p):
         super().__init__()
         self.n = n
         self.p = p
-        self.mixtures = {}
 
     def __missing__(self, g):
         table = self[g] = _level_table(self.n, self.p, g)
@@ -374,12 +371,9 @@ def _above(parts, w):
     return [_mixture(parts, w)], w
 
 
-#: comma populations whose mixture survival is kept, per (n, p)
-_MIXTURES_KEPT = 256
-
-
-def _comma_survival(tables, fits):
-    """(parts, ms, base) for the sorted population fits under comma
+@lru_cache(maxsize=4096)
+def _comma_survival(n: int, p: float, fits: tuple):
+    """(parts, ms, base) for the sorted population fits at (n, p) under comma
     selection: its levels (see _parts) and ms[k] = Pr(offspring > base + k)
     under its parent mixture, with base just below every level's support, so
     ms[0] = 1.0. _descend extends ms upwards on demand.
@@ -389,14 +383,8 @@ def _comma_survival(tables, fits):
     population met again, in this run or another at the same (n, p), walks
     on the values already computed.
     """
-    key = tuple(fits)
-    hit = tables.mixtures.get(key)
-    if hit is None:
-        if len(tables.mixtures) >= _MIXTURES_KEPT:
-            tables.mixtures.clear()
-        parts = _parts(tables, fits)
-        hit = tables.mixtures[key] = parts, [1.0], min(part[1] for part in parts) - 1
-    return hit
+    parts = _parts(_tables(n, p), fits)
+    return parts, [1.0], min(part[1] for part in parts) - 1
 
 
 def _descend(parts, ms, base, k, s, rr, left, most, out, floor=None):
@@ -472,7 +460,7 @@ def evolve_levels(config: EaConfig, rng, fits, budget: int, k: int, thr: int,
         offs = []
         if comma:
             # the best mu of lam offspring
-            parts, ms, base = _comma_survival(tables, fits)
+            parts, ms, base = _comma_survival(n, config.p, tuple(fits))
             s = -expm1(log1p(-rr()) / lam)
             _descend(parts, ms, base, 1, s, rr, lam, mu, offs)
             offs.reverse()
@@ -574,11 +562,6 @@ def _run_one(args):
     return run(replace(config, seed=seed), f)
 
 
-def _run_chunk(jobs):
-    # runs in a pool worker; see run_batch for why the results travel pickled
-    return pickle.dumps([_run_one(job) for job in jobs], pickle.HIGHEST_PROTOCOL)
-
-
 def run_batch(config: EaConfig, f, replicates: int, workers: int | None = None):
     """Independent replicates; replicate r runs with seed mix64(config.seed, r).
 
@@ -610,12 +593,6 @@ def run_batch(config: EaConfig, f, replicates: int, workers: int | None = None):
     fork-started pool forks all of them at the first submit, and gets about
     four chunks per worker; a pool of one would only add a fork and
     pickling, so a batch clamped to one worker stays in this process.
-
-    A worker returns each chunk of results as one pickle, which this thread
-    loads. Had the pool's result thread unpickled them, the traces would sit
-    in a per-thread malloc arena whose footprint depends on thread timing:
-    the peak RSS of one and the same batch-pool benchmark run then ranged
-    over 71-93 MB, against 74-76 MB this way.
     """
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
@@ -630,20 +607,11 @@ def run_batch(config: EaConfig, f, replicates: int, workers: int | None = None):
         if r and size > 1:
             spent = perf_counter() - start
             if spent >= POOL_AFTER_S and spent / r * left >= POOL_AFTER_S:
-                return results + _pooled(config, f, seeds[r:], size)
+                jobs = [(config, f, s) for s in seeds[r:]]
+                with ProcessPoolExecutor(max_workers=size) as ex:
+                    return results + list(ex.map(_run_one, jobs,
+                                                 chunksize=max(1, left // (size * 4))))
         results.append(run(replace(config, seed=seed), f))
-    return results
-
-
-def _pooled(config, f, seeds, size):
-    # run_batch's remaining replicates in a pool of `size` workers
-    jobs = [(config, f, s) for s in seeds]
-    chunk = max(1, len(jobs) // (size * 4))
-    chunks = [jobs[i:i + chunk] for i in range(0, len(jobs), chunk)]
-    results = []
-    with ProcessPoolExecutor(max_workers=size) as ex:
-        for blob in ex.map(_run_chunk, chunks):
-            results += pickle.loads(blob)
     return results
 
 

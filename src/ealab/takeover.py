@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 from .bounds import _ratio, takeover_bound_general
@@ -30,6 +31,7 @@ from .engines import (EaConfig, EvolutionState, Variant, check_fitness,
 from .genotype import ConfigError, OneMax
 from .rng import binomial_draw, mix64
 from .stats import SampleStats, summarize
+from .trees import EXPLICIT_BUILD_GUARD
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,9 @@ class TakeoverSpec:
             raise ConfigError("replicates must be >= 1")
         EaConfig(self.n, self.mu, self.lam, Variant.PLUS, self.c,
                  max_iterations=self.max_iterations).validate()
+        if self.i == 0 and self.lam > EXPLICIT_BUILD_GUARD:
+            raise ConfigError(f"takeover at i = 0 builds all lambda offspring each "
+                              f"iteration: needs lambda <= {EXPLICIT_BUILD_GUARD}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,8 @@ class Ea0Spec:
         if self.n < 2 or self.lam < 1:
             raise ConfigError("need n >= 2 and lambda >= 1")
         _ratio(self.lam, self.mu)   # ConfigError where lambda/mu is past the float range
+        if self.mu > sys.float_info.max or self.lam > sys.float_info.max:
+            raise ConfigError("mu and lambda must lie within the float range")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if self.max_iterations is not None and self.max_iterations < 1:

@@ -150,11 +150,26 @@ class TestLevelBounds:
         assert got == pytest.approx(33.61937735009375)
 
     def test_matches_brute_force_scan(self):
-        for n, mu, lam, i in ((10, 4, 4, 9), (20, 4, 8, 10), (30, 2, 16, 0), (15, 8, 8, 7)):
+        grid = [(n, mu, lam, i)
+                for n in (2, 5, 10, 30, 100, 1000)
+                for i in sorted({0, n // 2, n - 1})
+                for mu in (1, 2, 3, 4, 7, 16, 50, 300)
+                for lam in (1, 2, 3, 8, 64, 1000, 10 ** 5)]
+        grid += [(10, 4, 4, 9), (20, 4, 8, 10), (30, 2, 16, 0), (15, 8, 8, 7)]
+        for n, mu, lam, i in grid:
             got_m0, got_v = min_level_bound_general(n, mu, lam, i)
             want_m0, want_v = oracles.level_bound_scan(n, mu, lam, i)
             assert got_m0 == want_m0
             assert got_v == pytest.approx(want_v, rel=1e-12)
+
+    def test_huge_mu_needs_no_scan(self):
+        # a = 2e mu/lam squared would overflow here; past the float range
+        # the bound is refused
+        m0, value = min_level_bound_general(1000, 10 ** 200, 64, 500)
+        assert m0 == 1
+        assert value == level_bound_general(1000, 10 ** 200, 64, 500, 1)
+        with pytest.raises(ConfigError, match="float range"):
+            min_level_bound_general(1000, 10 ** 400, 64, 500)
 
     def test_fast_first_term_vanishes_at_mu0_one(self):
         n, mu, lam, i = 50, 2, 2 * 16, 25

@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,15 @@ class TestBounds:
         text = data.decode()
         assert "total" in text
         assert "regime" in text
+
+    def test_level_bound_at_a_billion_members(self, tmp_path):
+        # the best mu0 comes from the bound's stationary point, not a scan
+        start = time.perf_counter()
+        code, data = _run(tmp_path, "bounds", "--n", "1000", "--mu", str(10 ** 9),
+                          "--lambda", "64", "--i", "500", "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(data)["level_mu0"] == 1
 
     def test_takeover_section_appears_on_request(self, tmp_path):
         code, data = _run(tmp_path, "bounds", "--n", "50", "--mu", "4",
@@ -141,6 +151,7 @@ class TestHugeLambda:
     PAST_FLOAT = "error: lambda/mu is past the float range\n"
     PAST_EXACT = ("error: lambda must be <= 1.153e+15, past which the "
                   "fitness-level chain's runtime law is not exact\n")
+    MU_LAM_PAST_FLOAT = "error: mu and lambda must lie within the float range\n"
 
     @pytest.mark.parametrize("argv,err", [
         (("run", "--n", "64"), PAST_FLOAT),
@@ -148,7 +159,9 @@ class TestHugeLambda:
         (("bounds", "--n", "64"), PAST_FLOAT),
         (("ea0", "--n", "20", "--mu", "4"), PAST_FLOAT),
         (("takeover", "--n", "20", "--mu", "4"), PAST_EXACT),
-    ], ids=["run", "sweep", "bounds", "ea0", "takeover"])
+        # lambda/mu = 1 fits a float, mu and lambda themselves do not
+        (("ea0", "--n", "20", "--mu", LAM, "--j1", "1", "--j2", "2"), MU_LAM_PAST_FLOAT),
+    ], ids=["run", "sweep", "bounds", "ea0", "takeover", "ea0-mu"])
     def test_exits_validation(self, tmp_path, capsys, argv, err):
         code, _ = _run(tmp_path, *argv, "--lambda", self.LAM)
         assert code == 2
@@ -470,6 +483,20 @@ class TestMeasurementCommands:
         assert rec["completed"] == 50
         assert rec["mean"] >= 1.0
         assert "bound_general" in rec
+
+    def test_marker_takeover_caps_lambda(self, tmp_path, capsys):
+        # i = 0 builds every offspring; i >= 1 runs on the fitness levels
+        code, _ = _run(tmp_path, "takeover", "--n", "20", "--mu", "4", "--i", "0",
+                       "--j1", "1", "--j2", "4", "--lambda", str(10 ** 6 + 1))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: takeover at i = 0 builds all lambda offspring each iteration: "
+            "needs lambda <= 1000000\n")
+        code, data = _run(tmp_path, "takeover", "--n", "50", "--mu", "4", "--i", "25",
+                          "--j1", "1", "--j2", "4", "--lambda", str(10 ** 7),
+                          "--replicates", "3")
+        assert code == 0
+        assert json.loads(data)["completed"] == 3
 
     def test_ea0(self, tmp_path):
         code, data = _run(tmp_path, "ea0", "--n", "10", "--mu", "4",

@@ -255,7 +255,7 @@ class TestBatchExecution:
         cfg = EaConfig(10, 1, 1, seed=11)
         f = OneMax(10)
         assert run_batch(cfg, f, 2000, workers=10 ** 5) == run_batch(cfg, f, 2000)
-        assert pool["sizes"] == [2] and pool["chunks"] == 8
+        assert pool["sizes"] == [2] and pool["chunksizes"] == [200]
         assert len(pool["jobs"]) == 1600
 
 
@@ -336,9 +336,9 @@ def _serial_pool(monkeypatch, cpus):
 
     A fork-started pool forks all its workers at once, so the stand-in maps
     in this process. It records, in the dict it returns, the pool sizes
-    asked for, the number of chunks mapped and the jobs in them.
+    asked for, the chunksize of each map and the jobs mapped.
     """
-    seen = {"sizes": [], "chunks": 0, "jobs": []}
+    seen = {"sizes": [], "chunksizes": [], "jobs": []}
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -350,11 +350,10 @@ def _serial_pool(monkeypatch, cpus):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             items = list(items)
-            seen["chunks"] += len(items)
-            for chunk in items:
-                seen["jobs"] += chunk
+            seen["chunksizes"].append(chunksize)
+            seen["jobs"] += items
             return map(fn, items)
 
     monkeypatch.setattr(engines, "ProcessPoolExecutor", SerialPool)
@@ -682,7 +681,18 @@ class TestLumpedEngine:
         run_batch(cfg, OneMax(12), 50)
         warm = run_batch(cfg, OneMax(12), 50)
         engines._tables.cache_clear()
+        engines._comma_survival.cache_clear()
         assert run_batch(cfg, OneMax(12), 50) == warm
+
+    def test_comma_memo_keeps_the_latest_populations(self):
+        # (256, 32, 256) meets more than 4096 distinct populations in 80
+        # runs; the memo keeps the 4096 used last, and a rerun draws the same
+        cfg = EaConfig(256, 32, 256, Variant.COMMA, seed=34)
+        engines._comma_survival.cache_clear()
+        first = run_batch(cfg, OneMax(256), 80)
+        info = engines._comma_survival.cache_info()
+        assert info.misses > 4096 and info.currsize == 4096
+        assert run_batch(cfg, OneMax(256), 80) == first
 
     @pytest.mark.parametrize("c", [11.0, 12.0])
     @pytest.mark.parametrize("variant,mu,lam", [
