@@ -1,4 +1,4 @@
-"""Closed-form evaluators for the runtime bounds and probability inequalities.
+"""Closed-form evaluators for the runtime, takeover and level bounds.
 
 Everything here is an exact evaluation of a formula, reported as a plain real
 with no hidden constants. Natural logarithms are used throughout; log+ is the
@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from .genotype import ConfigError
-from .rng import binomial_draw
 
 #: threshold on lambda/mu separating the two analysis regimes
 FAST_REGIME = math.e ** math.e
@@ -127,7 +126,8 @@ def ea0_growth_lb(mu: int, lam: int, j1: int, j2: int) -> float:
     _check_counts(mu, j1, j2)
     if lam < 1:
         raise ConfigError("lambda must be >= 1")
-    return math.log(j2 / (2.0 * j1)) / math.log1p(lam / (math.e * mu))
+    # lam/mu first: e * mu overflows where mu is near the float range
+    return math.log(j2 / (2.0 * j1)) / math.log1p(_ratio(lam, mu) / math.e)
 
 
 def level_bound_general(n: int, mu: int, lam: int, i: int, mu0: int) -> float:
@@ -196,35 +196,3 @@ def sudholt_bound(mu: int, lam: int) -> float:
     if mu < 1 or lam < 1:
         raise ConfigError("mu and lambda must be >= 1")
     return _ceil_log5(mu) * (32.0 / (1.0 - 1.0 / math.e) * mu / lam + 1.0)
-
-
-def bernoulli_lb(x: float, n: float) -> float:
-    """Lower bound 1/(1 + 1/(x n)) for 1 - (1-x)^n; exact 0 at x = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise ConfigError("x must be in [0, 1]")
-    if n <= 0:
-        raise ConfigError("n must be positive")
-    if x == 0.0:
-        return 0.0
-    return 1.0 / (1.0 + 1.0 / (x * n))
-
-
-def multbin_lb_check(n: int, p: float, samples: int, rng) -> float:
-    """Empirical frequency of X >= E[X] for X ~ Binomial(n, p).
-
-    Monte Carlo companion to the Pr(X >= E[X]) > 1/4 inequality, which holds
-    for p > 1/n. The threshold comparison is fuzzed by 1e-9 so that float
-    round-off in n*p cannot drop the boundary outcome X = E[X].
-    """
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    if not 1.0 / n < p <= 1.0:
-        raise ConfigError("the lower-bound regime needs 1/n < p <= 1")
-    if samples < 1:
-        raise ConfigError("samples must be >= 1")
-    threshold = n * p - 1e-9
-    hits = 0
-    for _ in range(samples):
-        if binomial_draw(rng, n, p) >= threshold:
-            hits += 1
-    return hits / samples

@@ -1,5 +1,5 @@
-"""The three algorithm variants: the fitness-level chain, the one engine
-behind `run`, and a genotype engine for identity instrumentation.
+"""The two engines: the fitness-level chain, the one engine behind `run`,
+and a stepwise genotype engine for identity instrumentation.
 
 Variants: elitist plus-selection (best mu of mu+lambda), comma-selection
 (best mu of the lambda offspring, needs lambda >= mu), and the fair-parent
@@ -64,6 +64,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import sys
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -120,6 +121,8 @@ class EaConfig:
     def validate(self) -> None:
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
+        if self.n > sys.float_info.max:
+            raise ConfigError("n must lie within the float range")
         if self.mu < 1:
             raise ConfigError(f"mu must be >= 1, got {self.mu}")
         if self.lam < 1:
@@ -654,11 +657,6 @@ class EvolutionState:
     @property
     def best_fitness(self):
         return max(self.fits)
-
-    @property
-    def best_count(self):
-        best = max(self.fits)
-        return self.fits.count(best)
 
     def step(self) -> None:
         """One iteration: offspring, evaluation, selection."""

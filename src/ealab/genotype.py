@@ -1,15 +1,15 @@
 """Bit-string genotypes, standard-bit mutation, and benchmark fitness functions.
 
-Genotypes are value-semantic: mutation returns a fresh string and never touches
-its input. Internally a genotype is an int bit mask (bit ``i`` of ``mask`` is
-position ``i``), which keeps the mutation/evaluation hot path cheap; the
-engines work on raw masks and only build :class:`BitString` objects at API
-boundaries.
+The engines work on raw int masks: bit ``i`` of a mask is position ``i``.
+:class:`BitString` wraps a mask with its length at the API boundary (the
+target of :class:`UniqueOptGeneric`, the root and target strings of the
+label-bound check) and is value-semantic.
 
-Every mutation of a genotype is :func:`mutate_mask`: a Binomial(n, p) number
-of flips at uniformly random distinct positions, found by rejection. A
-string is optimal under a benchmark iff its value reaches the benchmark's
-``opt_threshold``, the rule every engine stops on.
+Every mutation of a genotype is :func:`mutate_mask`, which returns a fresh
+mask: a Binomial(n, p) number of flips at uniformly random distinct
+positions, found by rejection. A string is optimal under a benchmark iff
+``f.value(mask)`` reaches the benchmark's ``opt_threshold``, the rule every
+engine stops on.
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ from .rng import binomial_draw
 
 class ConfigError(ValueError):
     """Raised on invalid configuration (dimension mismatch, bad parameters)."""
+
+
+#: getrandbits takes its bit count as a C int
+RANDOM_BITS_MAX = 2 ** 31 - 1
 
 
 @dataclass(frozen=True)
@@ -66,11 +70,10 @@ class BitString:
     def random(cls, n: int, rng) -> "BitString":
         if n < 1:
             raise ConfigError(f"length must be positive, got {n}")
+        if n > RANDOM_BITS_MAX:
+            raise ConfigError(f"a random string needs n <= {RANDOM_BITS_MAX}, "
+                              "the most bits random.getrandbits draws")
         return cls(n, rng.getrandbits(n))
-
-    @property
-    def bits(self) -> tuple:
-        return tuple((self.mask >> i) & 1 for i in range(self.n))
 
     def popcount(self) -> int:
         return self.mask.bit_count()
@@ -153,24 +156,6 @@ class UniqueOptGeneric:
         return f"UniqueOptGeneric(n={self.n})"
 
 
-def _check_dim(f, x: BitString):
-    if f.n != x.n:
-        raise ConfigError(f"dimension mismatch: fitness n={f.n}, genotype n={x.n}")
-
-
-def evaluate(f, x: BitString) -> int:
-    """Fitness of ``x`` under benchmark ``f`` (integer valued)."""
-    _check_dim(f, x)
-    return f.value(x.mask)
-
-
-def is_optimal(f, x: BitString) -> bool:
-    """True iff ``x`` is a declared optimum of ``f``: its value reaches
-    ``f.opt_threshold``."""
-    _check_dim(f, x)
-    return f.value(x.mask) >= f.opt_threshold
-
-
 def flip_mask(rng, n: int, k: int) -> int:
     """XOR mask of k distinct positions drawn uniformly from range(n).
 
@@ -198,13 +183,6 @@ def mutate_mask(mask: int, n: int, p: float, rng) -> int:
     """
     k = binomial_draw(rng, n, p)
     return mask ^ flip_mask(rng, n, k) if k else mask
-
-
-def mutate(x: BitString, p: float, rng) -> BitString:
-    """Standard-bit mutation; returns a new string, input unchanged."""
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"mutation probability must be in [0, 1], got {p}")
-    return BitString(x.n, mutate_mask(x.mask, x.n, p, rng))
 
 
 def make_fitness(kind: str, n: int, k: int | None = None,

@@ -165,17 +165,18 @@ def _stirling_tail(j):
     """log(j!) - [(j + 1/2) log(j + 1) - (j + 1) + log(2 pi)/2]."""
     if j < 10:
         return math.lgamma(j + 1) - (j + 0.5) * math.log(j + 1) + j + 1 - _HALF_LOG_2PI
+    if j > 1e100:
+        # the later terms are below a float's precision here, and the integer
+        # 1260 (j + 1)^2 would overflow converting to a float
+        return 1.0 / (12.0 * (j + 1))
     z2 = (j + 1) * (j + 1)
     return (1.0 / 12 - (1.0 / 360 - 1.0 / (1260 * z2)) / z2) / (j + 1)
 
 
+# no ealab caller: bench/ constructs it and wraps its __init__ (ROADMAP item 7)
 class BinomialSampler:
     """A Binomial(n, p) handle: (n, p) is checked once, and each draw is a
-    binomial_draw, so it holds no table and is not a second sampler.
-
-    ealab itself calls binomial_draw; the handle stays because the bench
-    harness under ``bench/`` constructs it and wraps its ``__init__``.
-    """
+    binomial_draw, so it holds no table and is not a second sampler."""
 
     def __init__(self, n, p):
         _check(n, p)

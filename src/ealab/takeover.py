@@ -31,7 +31,10 @@ from .engines import (EaConfig, EvolutionState, Variant, check_fitness,
 from .genotype import ConfigError, OneMax
 from .rng import binomial_draw, mix64
 from .stats import SampleStats, summarize
-from .trees import EXPLICIT_BUILD_GUARD
+
+#: the marker takeover at i = 0 builds all lambda offspring each iteration,
+#: so it refuses a lambda above this
+EXPLICIT_BUILD_GUARD = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,8 @@ class Ea0Spec:
         _ratio(self.lam, self.mu)   # ConfigError where lambda/mu is past the float range
         if self.mu > sys.float_info.max or self.lam > sys.float_info.max:
             raise ConfigError("mu and lambda must lie within the float range")
+        if self.n > sys.float_info.max:
+            raise ConfigError("n must lie within the float range")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if self.max_iterations is not None and self.max_iterations < 1:
@@ -158,6 +163,12 @@ def _takeover_once_marked(rng, spec, cap):
     return None
 
 
+def _q_copy(n):
+    # (1 - 1/n)^n in log space: the direct power rounds 1 - 1/n to 1.0 from
+    # n ~ 1e16 on, and overflows for n past the float range
+    return math.exp(n * math.log1p(-1.0 / n))
+
+
 def ea0_once(rng, n, mu, lam, j1, j2, cap):
     """One copy-only run: (iterations to reach j2 or None, desired-count trace).
 
@@ -165,7 +176,7 @@ def ea0_once(rng, n, mu, lam, j1, j2, cap):
     when that parent is desired and mutation changed nothing, which happens
     with probability (1 - 1/n)^n; the count is capped at mu.
     """
-    q_copy = (1.0 - 1.0 / n) ** n
+    q_copy = _q_copy(n)
     j = j1
     t = 0
     trace = [j]
@@ -181,9 +192,13 @@ def ea0_once(rng, n, mu, lam, j1, j2, cap):
 def _ea0_cap(spec: Ea0Spec) -> int:
     if spec.max_iterations is not None:
         return spec.max_iterations
-    q_copy = (1.0 - 1.0 / spec.n) ** spec.n
-    p1 = 1.0 - (1.0 - q_copy * spec.j1 / spec.mu) ** spec.lam
-    return max(1000, int(math.ceil(200.0 * (spec.j2 - spec.j1) / p1)))
+    # p1 = 1 - (1 - q j1/mu)^lam: the chance that the count moves at all from j1
+    p1 = -math.expm1(spec.lam * math.log1p(-_q_copy(spec.n) * spec.j1 / spec.mu))
+    cap = 200.0 * (spec.j2 - spec.j1) / p1
+    if not math.isfinite(cap):
+        raise ConfigError("the derived iteration cap is past the float range: "
+                          "give --max-iterations")
+    return max(1000, math.ceil(cap))
 
 
 def run_ea0(spec: Ea0Spec) -> SampleStats:

@@ -1,5 +1,6 @@
-"""Complete offspring-lineage trees: explicit builds, distance censuses,
-label-probability bounds, and the union bound over optimal labels.
+"""Complete offspring-lineage trees: closed-form distance censuses,
+label-probability bounds with the exact hit rate they bound, the union bound
+over optimal labels, and ancestry depths tracked on real runs.
 
 A complete tree after t iterations has (lam+1)^t nodes: every node present at
 the start of an iteration gains lam children. The family forest realized by an
@@ -10,18 +11,15 @@ checked against these complete-tree counts from above.
 from __future__ import annotations
 
 import math
-import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .engines import EaConfig, EvolutionState, resolve_budget
-from .genotype import BitString, ConfigError, mutate_mask
+from .genotype import BitString, ConfigError
+# unused here: bench/tracer.py patches trees.mutate_mask by name (ROADMAP item 7)
+from .genotype import mutate_mask
 from .rng import binomial_draw
-
-#: explicit construction refuses node counts above this
-EXPLICIT_BUILD_GUARD = 10 ** 6
 
 
 def total_nodes(t: int, lam: int) -> int:
@@ -45,81 +43,18 @@ def count_at_distance(t: int, lam: int, ell: int) -> int:
     return math.comb(t, ell) * lam ** ell
 
 
-@dataclass(frozen=True)
-class CompleteTreeSpec:
-    """Explicit-build request: t iterations, lam children per node per
-    iteration, genotypes of length n. Labels are attached only when
-    root_label is given."""
-
-    t: int
-    lam: int
-    n: int
-    root_label: BitString | None = None
-    target: BitString | None = None
-
-    def validate(self) -> None:
-        if self.t < 0 or self.lam < 1 or self.n < 1:
-            raise ConfigError("need t >= 0, lambda >= 1, n >= 1")
-        count = total_nodes(self.t, self.lam)
-        if count > EXPLICIT_BUILD_GUARD:
-            raise ConfigError(
-                f"explicit build of {count} nodes exceeds guard {EXPLICIT_BUILD_GUARD}")
-        if self.root_label is not None:
-            if self.root_label.n != self.n:
-                raise ConfigError("root label length does not match n")
-            if self.n * count > EXPLICIT_BUILD_GUARD:
-                raise ConfigError("labeled build exceeds guard")
-        if self.target is not None and self.target.n != self.n:
-            raise ConfigError("target length does not match n")
-
-
-@dataclass(frozen=True)
-class CompleteTree:
-    """Explicitly built tree. Node j is identified by idents[j]: the root is
-    () and a child is (parent_ident, iteration, child_index)."""
-
-    spec: CompleteTreeSpec
-    idents: tuple
-    depths: tuple
-    labels: tuple | None
-
-    def census(self) -> dict:
-        """Map distance -> node count."""
-        return dict(Counter(self.depths))
-
-    def __len__(self):
-        return len(self.idents)
-
-
-def build_complete_tree(spec: CompleteTreeSpec, rng=None) -> CompleteTree:
-    """Materialize the complete tree; labels are drawn by standard-bit
-    mutation (p = 1/n) along every edge when spec.root_label is set."""
-    spec.validate()
-    labeled = spec.root_label is not None
-    if labeled and rng is None:
-        rng = random.Random(0)
-    idents = [()]
-    depths = [0]
-    labels = [spec.root_label.mask] if labeled else None
-    p = 1.0 / spec.n
-    for it in range(1, spec.t + 1):
-        existing = len(idents)
-        for v in range(existing):
-            for i in range(spec.lam):
-                idents.append((idents[v], it, i))
-                depths.append(depths[v] + 1)
-                if labeled:
-                    labels.append(mutate_mask(labels[v], spec.n, p, rng))
-    return CompleteTree(spec, tuple(idents), tuple(depths),
-                        tuple(labels) if labeled else None)
+def _check_length(n):
+    if n < 2:
+        raise ConfigError("n must be >= 2")
+    if n > sys.float_info.max:
+        raise ConfigError("n must lie within the float range")
 
 
 def p_opt(ell: int, n: int) -> float:
     """Label-probability bound min{1, (ell/(n-1))^(n/4)}."""
     if ell < 0:
         raise ConfigError("ell must be nonnegative")
-    if n < 2:
-        raise ConfigError("n must be >= 2")
+    _check_length(n)
     if ell >= n - 1:
         return 1.0
     return (ell / (n - 1)) ** (n / 4.0)
@@ -172,12 +107,13 @@ def verify_p_opt(root: BitString, target: BitString, ell: int,
     if root.n != target.n:
         raise ConfigError("root and target must have the same length")
     n = root.n
-    if n < 2:
-        raise ConfigError("n must be >= 2")
+    _check_length(n)
     if ell < 0:
         raise ConfigError("ell must be nonnegative")
     if samples < 1:
         raise ConfigError("samples must be >= 1")
+    if samples > sys.float_info.max:
+        raise ConfigError("samples must lie within the float range")
     hamming = root.hamming(target)
     if 4 * hamming < n:
         raise ConfigError(
@@ -205,10 +141,10 @@ class QOptBound:
 def q_opt_bound(t: int, n: int, mu: int, lam: int) -> QOptBound:
     """mu * sum_{ell=0}^{t} C(t,ell) (lam/mu)^ell p_opt(ell, n), accumulated in
     log space so neither the binomials nor the tiny p_opt factors overflow or
-    underflow; a sum past the float range is reported as inf, clamped to 1.
-    An exact-rational cross-check is `q_opt_bound_exact`."""
+    underflow; a sum past the float range is reported as inf, clamped to 1."""
     if t < 0 or n < 2 or mu < 1 or lam < 1:
         raise ConfigError("need t >= 0, n >= 2, mu >= 1, lambda >= 1")
+    _check_length(n)
     log_ratio = math.log(lam) - math.log(mu)   # lam / mu may be past the float range
     log_mu = math.log(mu)
     log_comb = 0.0                          # log C(t, ell), one factor at a time
@@ -228,20 +164,6 @@ def q_opt_bound(t: int, n: int, mu: int, lam: int) -> QOptBound:
         return QOptBound(math.inf, 1.0)
     raw = math.exp(m) * math.fsum(math.exp(x - m) for x in log_terms)
     return QOptBound(raw, min(1.0, raw))
-
-
-def q_opt_bound_exact(t: int, n: int, mu: int, lam: int) -> Fraction:
-    """Exact-rational accumulation of the same sum; needs n divisible by 4 so
-    the p_opt exponent is integral. Returns the raw (unclamped) value."""
-    if n % 4 != 0:
-        raise ConfigError("exact accumulation needs n divisible by 4")
-    if t < 0 or n < 2 or mu < 1 or lam < 1:
-        raise ConfigError("need t >= 0, n >= 2, mu >= 1, lambda >= 1")
-    total = Fraction(0)
-    for ell in range(1, t + 1):
-        p = min(Fraction(1), Fraction(ell, n - 1) ** (n // 4))
-        total += mu * math.comb(t, ell) * Fraction(lam, mu) ** ell * p
-    return total
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 from ealab.engines import EvolutionState, RunResult, resolve_budget
+from ealab.genotype import ConfigError
 from ealab.rng import mix64
 
 
@@ -141,6 +143,31 @@ def exact_hit_rate_one_mutation(n: int, hamming: int) -> float:
     """P(one standard-bit mutation at p = 1/n lands exactly on a target at
     the given Hamming distance): flip the differing bits, keep the rest."""
     return (1.0 / n) ** hamming * (1.0 - 1.0 / n) ** (n - hamming)
+
+
+def complete_tree_census(t: int, lam: int) -> dict:
+    """Node count by distance from the root of the complete tree after t
+    iterations, built node by node: every node present at the start of an
+    iteration gains lam children."""
+    depths = [0]
+    for _ in range(t):
+        depths += [d + 1 for d in depths for _ in range(lam)]
+    return dict(Counter(depths))
+
+
+def q_opt_bound_exact(t: int, n: int, mu: int, lam: int) -> Fraction:
+    """Exact-rational accumulation of the sum `ealab.q_opt_bound` takes in
+    log space; needs n divisible by 4 so the p_opt exponent is integral.
+    Returns the raw (unclamped) value."""
+    if n % 4 != 0:
+        raise ConfigError("exact accumulation needs n divisible by 4")
+    if t < 0 or n < 2 or mu < 1 or lam < 1:
+        raise ConfigError("need t >= 0, n >= 2, mu >= 1, lambda >= 1")
+    total = Fraction(0)
+    for ell in range(1, t + 1):
+        p = min(Fraction(1), Fraction(ell, n - 1) ** (n // 4))
+        total += mu * math.comb(t, ell) * Fraction(lam, mu) ** ell * p
+    return total
 
 
 def pool_cells(observed, expected):

@@ -11,13 +11,14 @@ import time
 import pytest
 import scipy.stats as sps
 
-from ealab import (BitString, CompleteTreeSpec, EaConfig, Ea0Spec,
-                   ExperimentTable, OneMax, SweepSpec, TakeoverSpec, Variant,
-                   bernoulli_lb, build_complete_tree, compare_dominance,
+from ealab import (BitString, EaConfig, Ea0Spec, ExperimentTable, OneMax,
+                   SweepSpec, TakeoverSpec, Variant, compare_dominance,
                    count_at_distance, ea0_growth_lb, fit_ratio,
-                   measure_takeover, multbin_lb_check, mutate, run_batch,
-                   run_ea0, sudholt_bound, sweep, takeover_bound_fast,
-                   takeover_bound_general, total_nodes, verify_p_opt)
+                   measure_takeover, run_batch, run_ea0, sudholt_bound, sweep,
+                   takeover_bound_fast, takeover_bound_general, total_nodes,
+                   verify_p_opt)
+from ealab.genotype import mutate_mask
+from ealab.rng import binomial_draw
 
 import oracles
 
@@ -103,8 +104,7 @@ def test_a5_master_bound_ratio_stays_in_window():
 def test_a6_complete_tree_counts_are_exact():
     for t in range(5):
         for lam in (1, 2, 3):
-            tree = build_complete_tree(CompleteTreeSpec(t, lam, n=4))
-            census = tree.census()
+            census = oracles.complete_tree_census(t, lam)
             assert sum(census.values()) == total_nodes(t, lam)
             for ell in range(t + 1):
                 assert census.get(ell, 0) == count_at_distance(t, lam, ell)
@@ -147,10 +147,9 @@ def test_a9_property_suites():
     # flip counts per mutation follow Binomial(n, p)
     n, p, draws = 20, 0.15, 20000
     rng = random.Random(92)
-    zero = BitString.zeros(n)
     counts = [0] * (n + 1)
     for _ in range(draws):
-        counts[mutate(zero, p, rng).popcount()] += 1
+        counts[mutate_mask(0, n, p, rng).bit_count()] += 1
     expected = [draws * sps.binom.pmf(k, n, p) for k in range(n + 1)]
     obs_pooled, exp_pooled = oracles.pool_cells(counts, expected)
     _, p_value = sps.chisquare(obs_pooled, exp_pooled)
@@ -162,10 +161,13 @@ def test_a9_property_suites():
         x = rng.random()
         k = rng.randrange(1, 200)
         exact = -math.expm1(k * math.log1p(-x))
-        assert exact >= bernoulli_lb(x, k) - 1e-12
+        assert exact >= 1.0 / (1.0 + 1.0 / (x * k)) - 1e-12
 
-    # a binomial meets its mean at least a quarter of the time
+    # a binomial meets its mean at least a quarter of the time (p > 1/n);
+    # the 1e-9 keeps round-off in n*p from dropping the outcome X = E[X]
     samples = 10 ** 5
-    emp = multbin_lb_check(100, 0.05, samples, random.Random(94))
+    rng = random.Random(94)
+    emp = sum(binomial_draw(rng, 100, 0.05) >= 100 * 0.05 - 1e-9
+              for _ in range(samples)) / samples
     sigma = math.sqrt(0.25 * 0.75 / samples)
     assert emp > 0.25 - 3 * sigma

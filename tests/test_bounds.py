@@ -8,11 +8,12 @@ import scipy.stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ealab import (FAST_REGIME, ConfigError, EaConfig, OneMax, bernoulli_lb,
-                   ea0_growth_lb, level_bound_fast, level_bound_general,
-                   log_plus, master_bound, min_level_bound_general,
-                   multbin_lb_check, phase_params, run_batch, sudholt_bound,
-                   takeover_bound_fast, takeover_bound_general)
+from ealab import (FAST_REGIME, ConfigError, EaConfig, OneMax, ea0_growth_lb,
+                   level_bound_fast, level_bound_general, log_plus,
+                   master_bound, min_level_bound_general, phase_params,
+                   run_batch, sudholt_bound, takeover_bound_fast,
+                   takeover_bound_general)
+from ealab.rng import binomial_draw
 
 import oracles
 
@@ -224,40 +225,22 @@ class TestFitnessLevelSum:
 
 
 class TestProbabilityHelpers:
-    def test_bernoulli_values(self):
-        assert bernoulli_lb(0.0, 5) == 0.0
-        assert bernoulli_lb(0.5, 2) == pytest.approx(0.5)  # exact value is 0.75
-
-    def test_bernoulli_domain(self):
-        for x, n in ((-0.1, 2), (1.1, 2), (0.5, 0)):
-            with pytest.raises(ConfigError):
-                bernoulli_lb(x, n)
-
     def test_bernoulli_pointwise_lower_bound(self):
+        # 1 - (1-x)^n >= 1/(1 + 1/(x n))
         rng = random.Random(4242)
         for _ in range(10 ** 4):
             x = rng.random()
             n = rng.randrange(1, 200)
             exact = -math.expm1(n * math.log1p(-x))  # 1 - (1-x)^n
-            assert exact >= bernoulli_lb(x, n) - 1e-12
-
-    def test_multbin_domain(self):
-        with pytest.raises(ConfigError):
-            multbin_lb_check(100, 0.005, 10, random.Random(0))
-        with pytest.raises(ConfigError):
-            multbin_lb_check(100, 0.05, 0, random.Random(0))
-
-    def test_multbin_rejects_empty_n(self):
-        with pytest.raises(ConfigError):
-            multbin_lb_check(0, 0.5, 10, random.Random(0))
-
-    def test_multbin_rejects_p_above_one(self):
-        with pytest.raises(ConfigError):
-            multbin_lb_check(100, 1.5, 10, random.Random(0))
+            assert exact >= 1.0 / (1.0 + 1.0 / (x * n)) - 1e-12
 
     def test_multbin_against_binomial_tail(self):
+        # Pr(X >= E[X]) > 1/4 for X ~ Bin(n, p), p > 1/n; the 1e-9 keeps
+        # round-off in n*p from dropping the outcome X = E[X]
         n, p, samples = 100, 0.05, 10 ** 5
-        emp = multbin_lb_check(n, p, samples, random.Random(9))
+        rng = random.Random(9)
+        emp = sum(binomial_draw(rng, n, p) >= n * p - 1e-9
+                  for _ in range(samples)) / samples
         assert emp > 0.25
         # X >= n*p means X >= 5 for integer X, i.e. the survival at 4
         assert abs(emp - sps.binom.sf(int(n * p) - 1, n, p)) < 0.01
@@ -266,6 +249,12 @@ class TestProbabilityHelpers:
 class TestEa0GrowthFloor:
     def test_frozen_value(self):
         assert ea0_growth_lb(16, 256, 1, 16) == pytest.approx(1.077709667967809, rel=1e-12)
+
+    def test_mu_near_float_range(self):
+        # e * mu overflows here; lambda/mu = 1 does not
+        big = 10 ** 308
+        assert ea0_growth_lb(big, big, 1, 4) == pytest.approx(
+            math.log(2.0) / math.log1p(1.0 / math.e), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

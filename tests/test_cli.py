@@ -186,6 +186,33 @@ class TestHugeLambda:
         assert rec["q_opt_raw"] is None and rec["q_opt"] == 1.0
 
 
+class TestFloatRange:
+    HUGE = "1" + "0" * 400    # past the float range
+    EDGE = "1" + "0" * 308    # within it, near its top
+    N_PAST = "error: n must lie within the float range\n"
+
+    @pytest.mark.parametrize("argv,code,err", [
+        (("ea0", "--n", "20", "--mu", EDGE, "--lambda", "1", "--j1", "1", "--j2", "2"), 2,
+         "error: the derived iteration cap is past the float range: "
+         "give --max-iterations\n"),
+        # e * mu overflows; every replicate is censored at 3 iterations
+        (("ea0", "--n", "20", "--mu", EDGE, "--lambda", EDGE, "--max-iterations", "3"),
+         3, ""),
+        (("ea0", "--n", HUGE, "--mu", "10", "--lambda", "10"), 2, N_PAST),
+        (("tree", "--t", "3", "--n", HUGE, "--ell", "1"), 2, N_PAST),
+        (("tree", "--t", "3", "--n", "8", "--ell", "1", "--samples", HUGE), 2,
+         "error: samples must lie within the float range\n"),
+        (("tree", "--t", "3", "--n", EDGE, "--ell", "1", "--samples", "1"), 2,
+         "error: a random string needs n <= 2147483647, "
+         "the most bits random.getrandbits draws\n"),
+        (("takeover", "--n", HUGE, "--mu", "2", "--lambda", "2"), 2, N_PAST),
+    ], ids=["ea0-cap", "ea0-e-mu", "ea0-n", "tree-n", "tree-samples",
+            "tree-random-string", "takeover-n"])
+    def test_exits_cleanly(self, tmp_path, capsys, argv, code, err):
+        assert _run(tmp_path, *argv)[0] == code
+        assert capsys.readouterr().err == err
+
+
 class TestStrictJson:
     def test_sweep_error_row_is_null(self, tmp_path):
         code, data = _run(tmp_path, "sweep", "--n", "1,10", "--replicates", "3",

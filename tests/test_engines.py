@@ -416,7 +416,7 @@ class TestEvolutionState:
             EvolutionState(cfg, OneMax(8), initial_masks=[0, 1 << 8])
         es = EvolutionState(cfg, OneMax(8), initial_masks=[0, 255])
         assert es.best_fitness == 8
-        assert es.best_count == 1
+        assert es.fits.count(es.best_fitness) == 1
 
     @pytest.mark.parametrize("variant,mu,lam", [
         (Variant.PLUS, 3, 5), (Variant.PLUS, 4, 4), (Variant.COMMA, 3, 7)])

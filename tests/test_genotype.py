@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from ealab import (BitString, ConfigError, MultiOptOneMax, OneMax,
-                   UniqueOptGeneric, evaluate, is_optimal, make_fitness,
-                   mutate)
-from ealab.genotype import flip_mask
+                   UniqueOptGeneric, make_fitness)
+from ealab.genotype import RANDOM_BITS_MAX, flip_mask, mutate_mask
 
 import oracles
 
@@ -55,52 +54,59 @@ class TestBitString:
             BitString(3, -1)
         with pytest.raises(ConfigError):
             BitString.from_string("10201")
+        with pytest.raises(ConfigError):    # getrandbits takes a C int
+            BitString.random(RANDOM_BITS_MAX + 1, random.Random(0))
+
+
+def _optimal(f, mask):
+    # the stopping rule of every engine
+    return f.value(mask) >= f.opt_threshold
 
 
 class TestBenchmarks:
     def test_onemax_all_zero(self):
-        assert evaluate(OneMax(5), BitString.from_string("00000")) == 0
+        assert OneMax(5).value(BitString.from_string("00000").mask) == 0
 
     def test_onemax_direct_count(self):
-        assert evaluate(OneMax(5), BitString.from_string("10110")) == 3
+        assert OneMax(5).value(BitString.from_string("10110").mask) == 3
 
     def test_onemax_against_independent_popcount(self):
         rng = random.Random(123)
         f = OneMax(64)
         for _ in range(1000):
             x = BitString.random(64, rng)
-            assert evaluate(f, x) == oracles.popcount_slow(x.mask)
+            assert f.value(x.mask) == oracles.popcount_slow(x.mask)
 
     def test_onemax_unique_optimum(self):
         f = OneMax(6)
-        assert is_optimal(f, BitString.ones(6))
-        optima = [m for m in range(1 << 6) if is_optimal(f, BitString(6, m))]
+        assert _optimal(f, BitString.ones(6).mask)
+        optima = [m for m in range(1 << 6) if _optimal(f, m)]
         assert optima == [(1 << 6) - 1]
 
     def test_multiopt_boundary(self):
         f = MultiOptOneMax(8, k=2)
-        assert is_optimal(f, BitString.from_string("11111100"))
-        assert not is_optimal(f, BitString.from_string("11111000"))
+        assert _optimal(f, BitString.from_string("11111100").mask)
+        assert not _optimal(f, BitString.from_string("11111000").mask)
 
     def test_multiopt_census(self):
         # strings with <= k zeros: sum of C(n, j) for j <= k
         for n, k in ((10, 2), (14, 3)):
             f = MultiOptOneMax(n, k=k)
-            count = sum(1 for m in range(1 << n) if is_optimal(f, BitString(n, m)))
+            count = sum(1 for m in range(1 << n) if _optimal(f, m))
             assert count == sum(math.comb(n, j) for j in range(k + 1))
 
     def test_uniqueopt_generic(self):
         target = BitString.from_string("0110")
         f = UniqueOptGeneric(target)
-        assert is_optimal(f, target)
-        assert evaluate(f, target) == 4
-        assert evaluate(f, BitString.from_string("1001")) == 0
-        optima = [m for m in range(1 << 4) if is_optimal(f, BitString(4, m))]
+        assert _optimal(f, target.mask)
+        assert f.value(target.mask) == 4
+        assert f.value(BitString.from_string("1001").mask) == 0
+        optima = [m for m in range(1 << 4) if _optimal(f, m)]
         assert optima == [target.mask]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
-            evaluate(OneMax(5), BitString.zeros(6))
+            make_fitness("uniqueopt", 5, target=BitString.zeros(6))
 
     def test_make_fitness(self):
         assert isinstance(make_fitness("onemax", 8), OneMax)
@@ -128,39 +134,37 @@ class TestMutation:
         rng = random.Random(7)
         x = BitString.random(40, rng)
         for _ in range(20):
-            assert mutate(x, 0.0, rng).mask == x.mask
+            assert mutate_mask(x.mask, 40, 0.0, rng) == x.mask
 
     def test_p_one_complement(self):
         rng = random.Random(8)
         x = BitString.random(40, rng)
         full = (1 << 40) - 1
         for _ in range(20):
-            assert mutate(x, 1.0, rng).mask == x.mask ^ full
+            assert mutate_mask(x.mask, 40, 1.0, rng) == x.mask ^ full
 
     def test_p_validation(self):
+        # binomial_draw refuses the flip count's p outside [0, 1]
         rng = random.Random(9)
-        x = BitString.zeros(4)
-        with pytest.raises(ConfigError):
-            mutate(x, -0.1, rng)
-        with pytest.raises(ConfigError):
-            mutate(x, 1.1, rng)
+        with pytest.raises(ValueError):
+            mutate_mask(0, 4, -0.1, rng)
+        with pytest.raises(ValueError):
+            mutate_mask(0, 4, 1.1, rng)
 
     def test_mean_hamming_distance(self):
         # Binomial(n, 1/n) has mean 1; 10^5 draws put 3 sigma well inside 0.05
         n, samples = 100, 10 ** 5
         rng = random.Random(10)
-        x = BitString.zeros(n)
-        total = sum(x.hamming(mutate(x, 1.0 / n, rng)) for _ in range(samples))
+        total = sum(mutate_mask(0, n, 1.0 / n, rng).bit_count() for _ in range(samples))
         assert abs(total / samples - 1.0) < 0.05
 
     def test_flip_count_distribution_chi_square(self):
         # goodness of fit of the flip-count law against Binomial(n, p)
         n, p, samples = 20, 0.15, 20000
         rng = random.Random(11)
-        x = BitString.zeros(n)
         observed = [0] * (n + 1)
         for _ in range(samples):
-            observed[x.hamming(mutate(x, p, rng))] += 1
+            observed[mutate_mask(0, n, p, rng).bit_count()] += 1
         expected = [samples * float(sps.binom.pmf(k, n, p)) for k in range(n + 1)]
         obs_pooled, exp_pooled = oracles.pool_cells(observed, expected)
         result = sps.chisquare(obs_pooled, f_exp=exp_pooled)
@@ -204,6 +208,5 @@ class TestMutation:
     def test_mutation_preserves_length(self, n, p, seed):
         rng = random.Random(seed)
         x = BitString.random(n, rng)
-        y = mutate(x, p, rng)
-        assert len(y) == n
-        assert 0 <= y.mask < (1 << n)
+        y = mutate_mask(x.mask, n, p, rng)
+        assert 0 <= y < (1 << n)

@@ -107,6 +107,15 @@ class TestBinomialDraw:
         se = math.sqrt(big * p * (1.0 - p) / draws)
         assert abs(sum(sample) / draws - big * p) <= 4.0 * se
 
+    def test_n_near_float_range(self):
+        # the rejection step's Stirling tails at j ~ 1e308 used to square j
+        # as an integer and overflow converting it to a float
+        big, draws = 10 ** 308, 2000
+        rng = random.Random(43)
+        sample = [binomial_draw(rng, big, 0.3) / big for _ in range(draws)]
+        assert all(0.0 <= x <= 1.0 for x in sample)
+        assert abs(sum(sample) / draws - 0.3) <= 1e-9
+
     def test_handle_draws_through_binomial_draw(self):
         a, b = random.Random(3), random.Random(3)
         sampler = BinomialSampler(300, 0.2)

@@ -10,6 +10,7 @@ from ealab import (ConfigError, EaConfig, Ea0Spec, EvolutionState, OneMax,
                    TakeoverSpec, ea0_growth_lb, ea0_once, measure_level_time,
                    measure_takeover, min_level_bound_general, mix64, run_ea0,
                    summarize, takeover_bound_general)
+from ealab.takeover import _q_copy
 
 import oracles
 
@@ -29,7 +30,8 @@ class TestSpecs:
                TakeoverSpec(10, 4, 4, i=5, j1=1, j2=5),
                TakeoverSpec(10, 4, 4, i=10, j1=1, j2=4),
                TakeoverSpec(10, 4, 4, i=5, j1=1, j2=4, replicates=0),
-               TakeoverSpec(10, 4, 4, i=5, j1=1, j2=4, max_iterations=0))
+               TakeoverSpec(10, 4, 4, i=5, j1=1, j2=4, max_iterations=0),
+               TakeoverSpec(10 ** 400, 4, 4, i=5, j1=1, j2=4))
         for spec in bad:
             with pytest.raises(ConfigError):
                 spec.validate()
@@ -38,7 +40,8 @@ class TestSpecs:
         Ea0Spec(10, 4, 8, 1, 4).validate()
         for spec in (Ea0Spec(1, 4, 8, 1, 4), Ea0Spec(10, 4, 0, 1, 4),
                      Ea0Spec(10, 4, 8, 4, 4), Ea0Spec(10, 4, 8, 1, 4, replicates=0),
-                     Ea0Spec(10, 4, 8, 1, 4, max_iterations=0)):
+                     Ea0Spec(10, 4, 8, 1, 4, max_iterations=0),
+                     Ea0Spec(10 ** 400, 4, 8, 1, 4)):
             with pytest.raises(ConfigError):
                 spec.validate()
 
@@ -161,6 +164,20 @@ class TestEa0:
             tracemalloc.stop()
         assert t is not None
         assert peak < 10 ** 6
+
+
+    def test_copy_probability_at_large_n(self):
+        # (1 - 1/n)^n rounds 1 - 1/n to 1.0 here; the limit is 1/e
+        assert _q_copy(10 ** 17) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert _q_copy(20) == pytest.approx((1.0 - 1.0 / 20) ** 20, rel=1e-14)
+
+    def test_cap_past_float_range(self):
+        # p1 = 1 - (1 - q/mu)^lam is about 4e-309, so 200 / p1 is inf
+        spec = Ea0Spec(20, 10 ** 308, 1, 1, 2, replicates=2)
+        with pytest.raises(ConfigError, match="--max-iterations"):
+            run_ea0(spec)
+        stats = run_ea0(Ea0Spec(20, 10 ** 308, 1, 1, 2, replicates=2, max_iterations=3))
+        assert stats.exhausted == 2
 
 
 class TestLevelTime:

@@ -9,10 +9,9 @@ from fractions import Fraction
 import pytest
 import scipy.stats as sps
 
-from ealab import (BitString, CompleteTreeSpec, ConfigError, EaConfig,
-                   MultiOptOneMax, OneMax, build_complete_tree,
-                   count_at_distance, p_opt, q_opt_bound, q_opt_bound_exact,
-                   simulate_family_tree, total_nodes, verify_p_opt)
+from ealab import (BitString, ConfigError, EaConfig, MultiOptOneMax, OneMax,
+                   count_at_distance, p_opt, q_opt_bound, simulate_family_tree,
+                   total_nodes, verify_p_opt)
 from ealab.genotype import mutate_mask
 
 import oracles
@@ -49,39 +48,10 @@ class TestCounting:
 class TestExplicitBuild:
     def test_census_matches_closed_form(self):
         for t, lam in ((0, 2), (1, 3), (2, 2), (3, 2), (4, 4)):
-            tree = build_complete_tree(CompleteTreeSpec(t, lam, n=4))
-            census = tree.census()
-            assert len(tree) == total_nodes(t, lam)
+            census = oracles.complete_tree_census(t, lam)
+            assert sum(census.values()) == total_nodes(t, lam)
             for ell in range(t + 1):
                 assert census.get(ell, 0) == count_at_distance(t, lam, ell)
-
-    def test_idents_are_unique_and_rooted(self):
-        tree = build_complete_tree(CompleteTreeSpec(3, 2, n=4))
-        assert tree.idents[0] == ()
-        assert len(set(tree.idents)) == len(tree)
-
-    def test_size_guard(self):
-        with pytest.raises(ConfigError):
-            CompleteTreeSpec(20, 3, n=4).validate()
-
-    def test_label_guard_scales_with_n(self):
-        spec = CompleteTreeSpec(5, 3, n=2000, root_label=BitString.zeros(2000))
-        with pytest.raises(ConfigError):
-            spec.validate()
-        CompleteTreeSpec(5, 3, n=20, root_label=BitString.zeros(20)).validate()
-
-    def test_labeled_build(self):
-        root = BitString.from_string("1010")
-        spec = CompleteTreeSpec(2, 2, n=4, root_label=root)
-        tree = build_complete_tree(spec, rng=random.Random(3))
-        assert tree.labels is not None
-        assert len(tree.labels) == len(tree)
-        assert tree.labels[0] == root.mask
-        assert all(0 <= m < 16 for m in tree.labels)
-
-    def test_unlabeled_build_has_no_labels(self):
-        tree = build_complete_tree(CompleteTreeSpec(2, 2, n=4))
-        assert tree.labels is None
 
 
 class TestPOpt:
@@ -215,13 +185,14 @@ class TestQOpt:
     @pytest.mark.parametrize("t,n,mu,lam", [(6, 8, 2, 5), (4, 12, 3, 3)])
     def test_log_space_matches_exact_rationals(self, t, n, mu, lam):
         raw = q_opt_bound(t, n, mu, lam).raw
-        exact = q_opt_bound_exact(t, n, mu, lam)
+        exact = oracles.q_opt_bound_exact(t, n, mu, lam)
         assert raw == pytest.approx(float(exact), rel=1e-9)
 
     def test_long_horizon_matches_exact_rationals(self):
         # log C(t, ell) is a running sum over 200 factors
         raw = q_opt_bound(200, 16, 2, 3).raw
-        assert raw == pytest.approx(float(q_opt_bound_exact(200, 16, 2, 3)), rel=1e-9)
+        exact = oracles.q_opt_bound_exact(200, 16, 2, 3)
+        assert raw == pytest.approx(float(exact), rel=1e-9)
 
     @pytest.mark.parametrize("t,lam", [(1100, 1), (70, 10 ** 5), (15000, 1)])
     def test_past_float_range(self, t, lam):
@@ -250,7 +221,7 @@ class TestQOpt:
 
     def test_exact_needs_divisible_length(self):
         with pytest.raises(ConfigError):
-            q_opt_bound_exact(4, 10, 1, 1)
+            oracles.q_opt_bound_exact(4, 10, 1, 1)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
