@@ -9,9 +9,11 @@ equalities anywhere in this package, only as ratio-stability properties.
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .genotype import ConfigError
+from .genotype import ConfigError, check_count
 
 #: threshold on lambda/mu separating the two analysis regimes
 FAST_REGIME = math.e ** math.e
@@ -40,6 +42,23 @@ class BoundReport:
     regime: str          # "General" or "FastLambda"
 
 
+def check_n(n: int) -> None:
+    """ConfigError unless 2 <= n <= the largest float; the bounds need n >= 2."""
+    if n < 2:
+        raise ConfigError("n must be >= 2")
+    if n > sys.float_info.max:
+        raise ConfigError("n must lie within the float range")
+
+
+@contextmanager
+def _float_range():
+    # an int past the float range raises OverflowError where it meets a float
+    try:
+        yield
+    except OverflowError:
+        raise ConfigError("n, mu and lambda must lie within the float range") from None
+
+
 def _ratio(lam: int, mu: int) -> float:
     """lam / mu as a float; ConfigError where it is past the float range."""
     try:
@@ -53,17 +72,13 @@ def master_bound(n: int, mu: int, lam: int) -> BoundReport:
 
     Returns the three additive terms and their sum, in iterations.
     """
-    if n < 2:
-        raise ConfigError("master bound needs n >= 2")
-    if mu < 1 or lam < 1:
-        raise ConfigError("mu and lambda must be >= 1")
+    check_n(n)
+    check_count("mu and lambda", min(mu, lam))
     ratio = _ratio(lam, mu)
-    try:
+    with _float_range():
         term_coupon = n * math.log(n) / lam
         term_pop = n * mu / lam
         term_fast = n * log_plus(log_plus(ratio)) / log_plus(ratio)
-    except OverflowError:
-        raise ConfigError("n, mu and lambda must lie within the float range") from None
     regime = "FastLambda" if ratio >= FAST_REGIME else "General"
     return BoundReport(n, mu, lam, term_coupon, term_pop, term_fast,
                        term_coupon + term_pop + term_fast, regime)
@@ -92,16 +107,28 @@ def phase_params(n: int, mu: int, lam: int) -> PhaseParams:
                        n - n / lam)
 
 
-def _check_counts(mu, j1, j2):
+def check_fit_counts(mu, j1, j2):
+    """ConfigError unless 1 <= j1 < j2 <= mu."""
     if not (1 <= j1 < j2 <= mu):
         raise ConfigError(f"need 1 <= j1 < j2 <= mu, got j1={j1}, j2={j2}, mu={mu}")
 
 
+def check_level(n, i):
+    """ConfigError unless 0 <= i <= n - 1."""
+    if not 0 <= i <= n - 1:
+        raise ConfigError(f"need 0 <= i <= n-1, got i={i}, n={n}")
+
+
+def _check_level_args(n, mu, i, mu0):
+    check_level(n, i)
+    if not 1 <= mu0 <= mu:
+        raise ConfigError(f"need 1 <= mu0 <= mu, got mu0={mu0}, mu={mu}")
+
+
 def takeover_bound_general(mu: int, lam: int, j1: int, j2: int) -> float:
     """Expected-takeover upper bound (2e mu/lam)(ln(j2/j1) + 1) + (j2 - j1)."""
-    _check_counts(mu, j1, j2)
-    if lam < 1:
-        raise ConfigError("lambda must be >= 1")
+    check_fit_counts(mu, j1, j2)
+    check_count("lambda", lam)
     return (_2E * mu / lam) * (math.log(j2 / j1) + 1.0) + (j2 - j1)
 
 
@@ -110,7 +137,7 @@ def takeover_bound_fast(mu: int, lam: int, j1: int, j2: int) -> float:
 
     Only valid for lambda/mu >= e^e.
     """
-    _check_counts(mu, j1, j2)
+    check_fit_counts(mu, j1, j2)
     if lam / mu < FAST_REGIME:
         raise ConfigError("fast takeover bound needs lambda/mu >= e^e")
     return 4.0 * math.log(j2 / j1) / math.log(lam / (_2E * mu)) + 4.0
@@ -123,19 +150,15 @@ def ea0_growth_lb(mu: int, lam: int, j1: int, j2: int) -> float:
     expectation, so the copy-only process needs at least this many iterations
     on average to climb from j1 to j2 fit members.
     """
-    _check_counts(mu, j1, j2)
-    if lam < 1:
-        raise ConfigError("lambda must be >= 1")
+    check_fit_counts(mu, j1, j2)
+    check_count("lambda", lam)
     # lam/mu first: e * mu overflows where mu is near the float range
     return math.log(j2 / (2.0 * j1)) / math.log1p(_ratio(lam, mu) / math.e)
 
 
 def level_bound_general(n: int, mu: int, lam: int, i: int, mu0: int) -> float:
     """Level-leaving bound mu0 + (2e mu/lam)(ln mu0 + 1) + e mu n/(lam (n-i) mu0)."""
-    if not 0 <= i <= n - 1:
-        raise ConfigError(f"need 0 <= i <= n-1, got i={i}, n={n}")
-    if not 1 <= mu0 <= mu:
-        raise ConfigError(f"need 1 <= mu0 <= mu, got mu0={mu0}, mu={mu}")
+    _check_level_args(n, mu, i, mu0)
     return (mu0
             + (_2E * mu / lam) * (math.log(mu0) + 1.0)
             + math.e * mu * n / (lam * (n - i) * mu0))
@@ -146,10 +169,7 @@ def level_bound_fast(n: int, mu: int, lam: int, i: int, mu0: int) -> float:
 
     Only valid for lambda/mu strictly above e^e.
     """
-    if not 0 <= i <= n - 1:
-        raise ConfigError(f"need 0 <= i <= n-1, got i={i}, n={n}")
-    if not 1 <= mu0 <= mu:
-        raise ConfigError(f"need 1 <= mu0 <= mu, got mu0={mu0}, mu={mu}")
+    _check_level_args(n, mu, i, mu0)
     if lam / mu <= FAST_REGIME:
         raise ConfigError("fast level bound needs lambda/mu > e^e")
     return (4.0 * math.log(mu0) / math.log(lam / (_2E * mu))
@@ -167,14 +187,11 @@ def min_level_bound_general(n, mu, lam, i):
     [1, mu], and floor wins a tie, as the first of a scan would. The root is
     taken through hypot, since squaring a overflows from mu/lam ~ 2.5e153.
     """
-    if not 0 <= i <= n - 1:
-        raise ConfigError(f"need 0 <= i <= n-1, got i={i}, n={n}")
-    try:
+    check_level(n, i)
+    with _float_range():
         a = _2E * mu / lam
         b = math.e * mu * n / (lam * (n - i))
         root = 2.0 * b / (a + math.hypot(a, 2.0 * math.sqrt(b)))
-    except OverflowError:
-        raise ConfigError("n, mu and lambda must lie within the float range") from None
     best = min((min(max(m, 1), mu) for m in (math.floor(root), math.ceil(root))),
                key=lambda m0: level_bound_general(n, mu, lam, i, m0))
     return best, level_bound_general(n, mu, lam, i, best)
@@ -193,6 +210,5 @@ def _ceil_log5(m: int) -> int:
 
 def sudholt_bound(mu: int, lam: int) -> float:
     """Comparison takeover bound ceil(log5 mu) * (32/(1-1/e) * mu/lam + 1)."""
-    if mu < 1 or lam < 1:
-        raise ConfigError("mu and lambda must be >= 1")
+    check_count("mu and lambda", min(mu, lam))
     return _ceil_log5(mu) * (32.0 / (1.0 - 1.0 / math.e) * mu / lam + 1.0)

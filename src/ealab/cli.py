@@ -13,8 +13,6 @@ command line override the file.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import random
 import sys
@@ -27,7 +25,8 @@ from .bounds import (FAST_REGIME, ea0_growth_lb, level_bound_fast,
 from .engines import DEFAULT_BUDGET_MULT, EaConfig, Variant, iteration_budget
 from .genotype import BitString, ConfigError, make_fitness
 from .harness import (ExperimentTable, SweepSpec, cell_text, compare_dominance,
-                      emit, fit_ratio, json_bytes, parse_table, run_cell, sweep)
+                      csv_bytes, emit, fit_ratio, json_bytes, parse_table, run_cell,
+                      sweep)
 from .rng import mix64
 from .takeover import Ea0Spec, TakeoverSpec, measure_takeover, run_ea0
 from .trees import count_at_distance, p_opt, q_opt_bound, total_nodes, verify_p_opt
@@ -183,11 +182,7 @@ def emit_record(record: dict, fmt: str) -> bytes:
     if fmt == "json":
         return json_bytes(record)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(record.keys())
-        writer.writerow([cell_text(v) for v in record.values()])
-        return buf.getvalue().encode("utf-8")
+        return csv_bytes(record.keys(), (record.values(),))
     if fmt == "text":
         width = max(len(k) for k in record)
         lines = [f"{key.ljust(width)}  {cell_text(value)}"
@@ -211,16 +206,12 @@ def _stats_record(stats) -> dict:
             "q10": stats.q10, "q90": stats.q90}
 
 
-def _budget(args) -> int:
-    if getattr(args, "max_iterations", None) is not None:
-        return args.max_iterations
-    return iteration_budget(args.budget_mult, max(args.n, 2), args.mu, args.lam)
-
-
 def _cmd_run(args):
-    config = EaConfig(args.n, args.mu, args.lam, _VARIANTS[args.variant],
-                      args.c, _budget(args), args.seed)
+    budget = iteration_budget(args.budget_mult, args.n, args.mu, args.lam,
+                              args.max_iterations)
     f = make_fitness(args.fitness, args.n, k=args.k)
+    config = EaConfig(args.n, args.mu, args.lam, _VARIANTS[args.variant],
+                      args.c, budget, args.seed)
     row = run_cell(config, f, args.replicates, args.workers)
     code = EXIT_EXHAUSTED if row.exhausted == args.replicates else EXIT_OK
     return code, emit(ExperimentTable((row,)), args.fmt or "csv")
@@ -326,10 +317,11 @@ def _cmd_tree(args):
         if not 0 < hamming <= args.n:
             raise ConfigError(f"need 1 <= hamming <= n, got {hamming}")
         root = BitString.random(args.n, rng)
-        flip = 0
+        # bits set in bytes and converted once; an int OR costs O(n) per bit
+        flip = bytearray((args.n + 7) // 8)
         for pos in rng.sample(range(args.n), hamming):
-            flip |= 1 << pos
-        target = BitString(args.n, root.mask ^ flip)
+            flip[pos >> 3] |= 1 << (pos & 7)
+        target = BitString(args.n, root.mask ^ int.from_bytes(flip, "little"))
         check = verify_p_opt(root, target, args.ell, args.samples, rng)
         record.update(hamming=hamming, samples=check.samples, hits=check.hits,
                       exact=check.exact, empirical=check.empirical, sigma=check.sigma,
@@ -338,12 +330,12 @@ def _cmd_tree(args):
 
 
 def _cmd_dominance(args):
-    budget = _budget(args)
+    budget = iteration_budget(args.budget_mult, args.n, args.mu, args.lam)
+    f = make_fitness(args.fitness, args.n, k=args.k)
     config_a = EaConfig(args.n, args.mu, args.lam, _VARIANTS[args.variant_a],
                         args.c, budget, mix64(args.seed, 1))
     config_b = EaConfig(args.n, args.mu, args.lam, _VARIANTS[args.variant_b],
                         args.c, budget, mix64(args.seed, 2))
-    f = make_fitness(args.fitness, args.n, k=args.k)
     report = compare_dominance(config_a, config_b, f, args.replicates, args.workers)
     record = {"n": args.n, "mu": args.mu, "lambda": args.lam,
               "variant_a": report.variant_a, "variant_b": report.variant_b,
@@ -398,14 +390,9 @@ def main(argv=None) -> int:
             # config values go first so explicit flags win (last one parses)
             argv = [argv[0]] + extra + argv[1:]
         args = parser.parse_args(argv)
+        code, data = _HANDLERS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
-        code, data = _HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -64,7 +64,6 @@ from __future__ import annotations
 import math
 import os
 import random
-import sys
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -73,9 +72,9 @@ from functools import lru_cache
 from itertools import chain, repeat
 from time import perf_counter
 
-from .bounds import master_bound
-from .genotype import (ConfigError, MultiOptOneMax, OneMax, UniqueOptGeneric,
-                       mutate_mask)
+from .bounds import check_n, master_bound
+from .genotype import (BitString, ConfigError, MultiOptOneMax, OneMax,
+                       UniqueOptGeneric, check_count, mutate_mask)
 from .rng import TAIL_MASS, binomial_pmf, mix64
 
 #: budget applied when EaConfig.max_iterations is None, in multiples of the
@@ -118,15 +117,13 @@ class EaConfig:
     def p(self) -> float:
         return self.c / self.n
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.n > sys.float_info.max:
-            raise ConfigError("n must lie within the float range")
-        if self.mu < 1:
-            raise ConfigError(f"mu must be >= 1, got {self.mu}")
-        if self.lam < 1:
-            raise ConfigError(f"lambda must be >= 1, got {self.lam}")
+        check_n(self.n)
+        check_count("mu", self.mu)
+        check_count("lambda", self.lam)
         if self.lam > LAMBDA_MAX:   # an int against a float: exact, no overflow
             raise ConfigError(f"lambda must be <= {LAMBDA_MAX:.4g}, past which the "
                               "fitness-level chain's runtime law is not exact")
@@ -136,8 +133,8 @@ class EaConfig:
             raise ConfigError("comma selection cannot fill the population: needs lambda >= mu")
         if self.variant is Variant.FAIRPLUS and self.lam != self.mu:
             raise ConfigError("fair-parent variant needs lambda = mu")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
+        if self.max_iterations is not None:
+            check_count("max_iterations", self.max_iterations)
         if not isinstance(self.seed, int):
             raise ConfigError("seed must be an integer")
 
@@ -149,8 +146,11 @@ def check_budget_mult(mult: float) -> float:
     return mult
 
 
-def iteration_budget(mult: float, n: int, mu: int, lam: int) -> int:
-    """The budget rule: ceil(mult * master-bound total at (n, mu, lambda))."""
+def iteration_budget(mult: float, n: int, mu: int, lam: int,
+                     max_iterations: int | None = None) -> int:
+    """The budget rule: max_iterations if given, else ceil(mult * master-bound total)."""
+    if max_iterations is not None:
+        return max_iterations
     budget = check_budget_mult(mult) * master_bound(n, mu, lam).total
     if not math.isfinite(budget):
         raise ConfigError(f"budget multiplier {mult} gives an infinite budget")
@@ -159,9 +159,8 @@ def iteration_budget(mult: float, n: int, mu: int, lam: int) -> int:
 
 def resolve_budget(config: EaConfig) -> int:
     """Iteration budget: explicit max_iterations, else 10x the master bound."""
-    if config.max_iterations is not None:
-        return config.max_iterations
-    return iteration_budget(DEFAULT_BUDGET_MULT, max(config.n, 2), config.mu, config.lam)
+    return iteration_budget(DEFAULT_BUDGET_MULT, config.n, config.mu, config.lam,
+                            config.max_iterations)
 
 
 @dataclass(frozen=True)
@@ -529,13 +528,17 @@ def evolve_levels(config: EaConfig, rng, fits, budget: int, k: int, thr: int,
     return t
 
 
+def _check_dimension(config: EaConfig, f) -> None:
+    if f.n != config.n:
+        raise ConfigError(f"dimension mismatch: config n={config.n}, fitness n={f.n}")
+
+
 def check_fitness(config: EaConfig, f) -> None:
     """ConfigError unless f is one of the LUMPABLE benchmarks, whose fitness
     levels the chain evolves, at the dimension config.n."""
     if not isinstance(f, LUMPABLE):
         raise ConfigError(f"cannot construct fitness levels for {f!r}")
-    if f.n != config.n:
-        raise ConfigError(f"dimension mismatch: config n={config.n}, fitness n={f.n}")
+    _check_dimension(config, f)
 
 
 def run(config: EaConfig, f) -> RunResult:
@@ -547,7 +550,6 @@ def run(config: EaConfig, f) -> RunResult:
     engine, the fitness-level chain of evolve_levels, so f must be one of the
     LUMPABLE benchmarks; any other fitness raises ConfigError before a draw.
     """
-    config.validate()
     check_fitness(config, f)
     mu, lam = config.mu, config.lam
     rng = random.Random(config.seed)
@@ -597,9 +599,7 @@ def run_batch(config: EaConfig, f, replicates: int, workers: int | None = None):
     four chunks per worker; a pool of one would only add a fork and
     pickling, so a batch clamped to one worker stays in this process.
     """
-    if replicates < 1:
-        raise ConfigError("replicates must be >= 1")
-    config.validate()
+    check_count("replicates", replicates)
     seeds = [mix64(config.seed, r) for r in range(replicates)]
     cap = min(workers or 1, os.cpu_count() or 1)
     results = []
@@ -629,9 +629,7 @@ class EvolutionState:
     """
 
     def __init__(self, config: EaConfig, f, rng=None, initial_masks=None):
-        config.validate()
-        if f.n != config.n:
-            raise ConfigError(f"dimension mismatch: config n={config.n}, fitness n={f.n}")
+        _check_dimension(config, f)
         self.config = config
         self.fitness = f
         self.rng = rng if rng is not None else random.Random(config.seed)
@@ -643,8 +641,7 @@ class EvolutionState:
             if len(masks) != mu:
                 raise ConfigError(f"initial population must have mu={mu} members")
             for m in masks:
-                if not 0 <= m < (1 << n):
-                    raise ConfigError("initial mask out of range for length n")
+                BitString(n, m)     # ConfigError when m is out of range
             self.masks = masks
         self.fits = [f.value(m) for m in self.masks]
         self._comma = config.variant is Variant.COMMA

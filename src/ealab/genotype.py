@@ -23,6 +23,12 @@ class ConfigError(ValueError):
     """Raised on invalid configuration (dimension mismatch, bad parameters)."""
 
 
+def check_count(name: str, value) -> None:
+    """ConfigError unless value >= 1; `name` is what the message calls it."""
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1")
+
+
 #: getrandbits takes its bit count as a C int
 RANDOM_BITS_MAX = 2 ** 31 - 1
 
@@ -68,12 +74,10 @@ class BitString:
 
     @classmethod
     def random(cls, n: int, rng) -> "BitString":
-        if n < 1:
-            raise ConfigError(f"length must be positive, got {n}")
         if n > RANDOM_BITS_MAX:
             raise ConfigError(f"a random string needs n <= {RANDOM_BITS_MAX}, "
                               "the most bits random.getrandbits draws")
-        return cls(n, rng.getrandbits(n))
+        return cls(n, rng.getrandbits(n) if n > 0 else 0)   # n < 1 fails in __post_init__
 
     def popcount(self) -> int:
         return self.mask.bit_count()
@@ -118,23 +122,18 @@ class OneMax:
         return f"OneMax(n={self.n})"
 
 
-class MultiOptOneMax:
+class MultiOptOneMax(OneMax):
     """OneMax fitness where every string with at most k zeros counts as optimal.
 
     Declares exactly sum_{j<=k} C(n, j) optima.
     """
 
     def __init__(self, n: int, k: int):
-        if n < 1:
-            raise ConfigError("n must be positive")
+        super().__init__(n)
         if not 0 <= k <= n:
             raise ConfigError("k must be in [0, n]")
-        self.n = n
         self.k = k
         self.opt_threshold = n - k
-
-    def value(self, mask: int) -> int:
-        return mask.bit_count()
 
     def __repr__(self):
         return f"MultiOptOneMax(n={self.n}, k={self.k})"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .bounds import master_bound
 from .engines import (DEFAULT_BUDGET_MULT, EaConfig, Variant, check_budget_mult,
                       iteration_budget, run_batch)
-from .genotype import ConfigError, make_fitness
+from .genotype import ConfigError, check_count, make_fitness
 from .rng import mix64
 from .stats import SampleStats, summarize
 
@@ -44,11 +44,13 @@ class SweepSpec:
     seed: int = 0
     budget_mult: float = DEFAULT_BUDGET_MULT
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if not (self.ns and self.mus and self.lams):
             raise ConfigError("grid axes must be nonempty")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
+        check_count("replicates", self.replicates)
         check_budget_mult(self.budget_mult)
         if self.fitness.lower() not in ("onemax", "multiopt"):
             raise ConfigError("sweeps support fitness 'onemax' or 'multiopt'")
@@ -128,8 +130,7 @@ def summarize_runs(results) -> SampleStats:
 
 def run_cell(config: EaConfig, f, replicates: int,
              workers: int | None = None) -> ExperimentRow:
-    """Measure one configuration and format it as a table row; the master
-    bound is only defined for n >= 2, so smaller n raise ConfigError."""
+    """Measure one configuration and format it as a table row."""
     bound = master_bound(config.n, config.mu, config.lam).total
     stats = summarize_runs(run_batch(config, f, replicates, workers))
     return _stats_row(config.n, config.mu, config.lam, config.variant,
@@ -140,7 +141,6 @@ def sweep(spec: SweepSpec, workers: int | None = None) -> ExperimentTable:
     """Run the whole grid. A cell whose configuration is invalid (say comma
     selection with lambda < mu) becomes an error row; it never aborts the
     sweep."""
-    spec.validate()
     rows = []
     for idx, (n, mu, lam) in enumerate(spec.cells()):
         try:
@@ -148,7 +148,6 @@ def sweep(spec: SweepSpec, workers: int | None = None) -> ExperimentTable:
             budget = iteration_budget(spec.budget_mult, n, mu, lam)
             config = EaConfig(n, mu, lam, spec.variant, spec.c, budget,
                               mix64(spec.seed, idx))
-            config.validate()
         except ConfigError as exc:
             rows.append(_error_row(n, mu, lam, spec.variant,
                                    spec.replicates, str(exc)))
@@ -244,8 +243,6 @@ def compare_dominance(config_a: EaConfig, config_b: EaConfig, f,
     """Paired measurement of two variants at identical (n, mu, lambda)."""
     if (config_a.n, config_a.mu, config_a.lam) != (config_b.n, config_b.mu, config_b.lam):
         raise ConfigError("dominance comparison needs identical n, mu, lambda")
-    config_a.validate()
-    config_b.validate()
     runs_a = run_batch(config_a, f, replicates, workers)
     runs_b = run_batch(config_b, f, replicates, workers)
     stats_a = summarize_runs(runs_a)
@@ -287,6 +284,21 @@ def _row_record(row: ExperimentRow) -> dict:
     return record
 
 
+def csv_bytes(header, rows) -> bytes:
+    """UTF-8 CSV of a header and rows, '\\n' line ends, cells by cell_text."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [cell_text(v) for v in line] for line in itertools.chain((header,), rows))
+    return buf.getvalue().encode("utf-8")
+
+
+def _table_format(fmt: str) -> str:
+    fmt = fmt.lower()
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown table format {fmt!r}")
+    return fmt
+
+
 def emit(table: ExperimentTable, fmt: str = "csv") -> bytes:
     """Serialize a table: UTF-8, '.' decimal separator, '\\n' line ends.
 
@@ -294,18 +306,10 @@ def emit(table: ExperimentTable, fmt: str = "csv") -> bytes:
     same numbers (identical floats, non-finite ones as null) plus the
     skew_warned and error extras.
     """
-    fmt = fmt.lower()
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in table.rows:
-            writer.writerow([cell_text(v) for v in _row_values(row)])
-        return buf.getvalue().encode("utf-8")
-    if fmt == "json":
-        return json_bytes({"columns": list(CSV_COLUMNS),
-                           "rows": [_row_record(row) for row in table.rows]})
-    raise ConfigError(f"unknown table format {fmt!r}")
+    if _table_format(fmt) == "csv":
+        return csv_bytes(CSV_COLUMNS, map(_row_values, table.rows))
+    return json_bytes({"columns": list(CSV_COLUMNS),
+                       "rows": [_row_record(row) for row in table.rows]})
 
 
 def _strict(value):
@@ -381,8 +385,7 @@ def parse_table(data, fmt: str = "csv") -> ExperimentTable:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"table is not UTF-8: {exc}") from None
-    fmt = fmt.lower()
-    if fmt == "csv":
+    if _table_format(fmt) == "csv":
         reader = csv.reader(io.StringIO(data))
         try:
             header = next(reader)
@@ -396,13 +399,11 @@ def parse_table(data, fmt: str = "csv") -> ExperimentTable:
                 raise ConfigError(f"table row {k}: {len(line)} fields, "
                                   f"expected {len(CSV_COLUMNS)}")
         return _parse_rows((dict(zip(CSV_COLUMNS, line)) for line in lines), False)
-    if fmt == "json":
-        try:
-            payload = json.loads(data)
-        except ValueError as exc:
-            raise ConfigError(f"table is not valid JSON: {exc}") from None
-        records = payload.get("rows") if isinstance(payload, dict) else None
-        if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
-            raise ConfigError("JSON table needs a \"rows\" list of objects")
-        return _parse_rows(records, True)
-    raise ConfigError(f"unknown table format {fmt!r}")
+    try:
+        payload = json.loads(data)
+    except ValueError as exc:
+        raise ConfigError(f"table is not valid JSON: {exc}") from None
+    records = payload.get("rows") if isinstance(payload, dict) else None
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise ConfigError("JSON table needs a \"rows\" list of objects")
+    return _parse_rows(records, True)

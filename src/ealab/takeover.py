@@ -25,10 +25,10 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .bounds import _ratio, takeover_bound_general
+from .bounds import _ratio, check_fit_counts, check_level, check_n, takeover_bound_general
 from .engines import (EaConfig, EvolutionState, Variant, check_fitness,
                       evolve_levels, resolve_budget)
-from .genotype import ConfigError, OneMax
+from .genotype import ConfigError, OneMax, check_count
 from .rng import binomial_draw, mix64
 from .stats import SampleStats, summarize
 
@@ -52,16 +52,16 @@ class TakeoverSpec:
     seed: int = 0
     max_iterations: int | None = None   # safety cap; None derives one
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
-        if not (1 <= self.j1 < self.j2 <= self.mu):
-            raise ConfigError(
-                f"need 1 <= j1 < j2 <= mu, got j1={self.j1}, j2={self.j2}, mu={self.mu}")
-        if not 0 <= self.i <= self.n - 1:
-            raise ConfigError(f"need 0 <= i <= n-1, got i={self.i}, n={self.n}")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
+        check_fit_counts(self.mu, self.j1, self.j2)
+        check_level(self.n, self.i)
+        check_count("replicates", self.replicates)
+        # the EaConfig rules: n, mu, lambda, c and the cap
         EaConfig(self.n, self.mu, self.lam, Variant.PLUS, self.c,
-                 max_iterations=self.max_iterations).validate()
+                 max_iterations=self.max_iterations)
         if self.i == 0 and self.lam > EXPLICIT_BUILD_GUARD:
             raise ConfigError(f"takeover at i = 0 builds all lambda offspring each "
                               f"iteration: needs lambda <= {EXPLICIT_BUILD_GUARD}")
@@ -80,21 +80,19 @@ class Ea0Spec:
     seed: int = 0
     max_iterations: int | None = None
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
-        if not (1 <= self.j1 < self.j2 <= self.mu):
-            raise ConfigError(
-                f"need 1 <= j1 < j2 <= mu, got j1={self.j1}, j2={self.j2}, mu={self.mu}")
-        if self.n < 2 or self.lam < 1:
-            raise ConfigError("need n >= 2 and lambda >= 1")
+        check_fit_counts(self.mu, self.j1, self.j2)
+        check_n(self.n)
+        check_count("lambda", self.lam)
         _ratio(self.lam, self.mu)   # ConfigError where lambda/mu is past the float range
         if self.mu > sys.float_info.max or self.lam > sys.float_info.max:
             raise ConfigError("mu and lambda must lie within the float range")
-        if self.n > sys.float_info.max:
-            raise ConfigError("n must lie within the float range")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
+        check_count("replicates", self.replicates)
+        if self.max_iterations is not None:
+            check_count("max_iterations", self.max_iterations)
 
 
 def _takeover_cap(spec: TakeoverSpec) -> int:
@@ -114,10 +112,11 @@ def measure_takeover(spec: TakeoverSpec) -> SampleStats:
     marked member is gone, since no later step can bring the marker back; it
     counts as exhausted, as a capped run would.
     """
-    spec.validate()
     cap = _takeover_cap(spec)
+    config = EaConfig(spec.n, spec.mu, spec.lam, Variant.PLUS, spec.c)
     once = _takeover_once_marked if spec.i == 0 else _takeover_once
-    return _replicates(spec.seed, spec.replicates, lambda rng: once(rng, spec, cap))
+    return _replicates(spec.seed, spec.replicates,
+                       lambda rng: once(rng, spec, config, cap))
 
 
 def _replicates(seed, replicates, once) -> SampleStats:
@@ -133,20 +132,16 @@ def _replicates(seed, replicates, once) -> SampleStats:
     return summarize(samples, exhausted)
 
 
-def _config(spec):
-    return EaConfig(spec.n, spec.mu, spec.lam, Variant.PLUS, spec.c)
-
-
-def _takeover_once(rng, spec, cap):
+def _takeover_once(rng, spec, config, cap):
     # i >= 1: j1 members at fitness i, the fillers at i - 1
     fits = [spec.i] * spec.j1 + [spec.i - 1] * (spec.mu - spec.j1)
-    return evolve_levels(_config(spec), rng, fits, cap, spec.j2, spec.i)
+    return evolve_levels(config, rng, fits, cap, spec.j2, spec.i)
 
 
-def _takeover_once_marked(rng, spec, cap):
+def _takeover_once_marked(rng, spec, config, cap):
     # i = 0: offspring inherit the parent's marker, survivors keep theirs
     mu, j2 = spec.mu, spec.j2
-    es = EvolutionState(_config(spec), OneMax(spec.n), rng=rng, initial_masks=[0] * mu)
+    es = EvolutionState(config, OneMax(spec.n), rng=rng, initial_masks=[0] * mu)
     flags = [True] * spec.j1 + [False] * (mu - spec.j1)
     t = 0
     while t < cap:
@@ -170,23 +165,35 @@ def _q_copy(n):
 
 
 def ea0_once(rng, n, mu, lam, j1, j2, cap):
-    """One copy-only run: (iterations to reach j2 or None, desired-count trace).
+    """One copy-only run: (iterations to reach j2 or None, change points
+    (t, j) from (0, j1) on, one per iteration t that moved the count to j).
 
     Each of the lambda offspring picks a uniform parent and is accepted only
     when that parent is desired and mutation changed nothing, which happens
-    with probability (1 - 1/n)^n; the count is capped at mu.
+    with probability r = j (1 - 1/n)^n / mu at count j; the count is capped
+    at mu. Idle iterations are skipped in one geometric draw; a move accepts
+    a first offspring K, drawn given one is, and 1 + Bin(lambda - K, r) in all.
     """
     q_copy = _q_copy(n)
+    rr = rng.random
+    log1p = math.log1p
     j = j1
     t = 0
-    trace = [j]
+    points = [(0, j)]
     while j < j2:
-        if t >= cap:
-            return None, trace
-        j = min(mu, j + binomial_draw(rng, lam, j * q_copy / mu))
-        t += 1
-        trace.append(j)
-    return t, trace
+        r = j * q_copy / mu
+        log_r = log1p(-r)
+        log_idle = lam * log_r            # log Pr(no offspring accepted)
+        x = log1p(-rr()) / log_idle
+        if x >= cap - t:
+            return None, points
+        t += int(x) + 1
+        move = -math.expm1(log_idle)      # Pr(some offspring is accepted)
+        # the first accepted offspring, kept in 1..lambda against rounding
+        k = min(lam, max(1, math.ceil(log1p(-rr() * move) / log_r)))
+        j = min(mu, j + 1 + binomial_draw(rng, lam - k, r))
+        points.append((t, j))
+    return t, points
 
 
 def _ea0_cap(spec: Ea0Spec) -> int:
@@ -203,7 +210,6 @@ def _ea0_cap(spec: Ea0Spec) -> int:
 
 def run_ea0(spec: Ea0Spec) -> SampleStats:
     """Sample tau*: first time the desired count reaches j2, starting at j1."""
-    spec.validate()
     cap = _ea0_cap(spec)
     return _replicates(spec.seed, spec.replicates, lambda rng: ea0_once(
         rng, spec.n, spec.mu, spec.lam, spec.j1, spec.j2, cap)[0])
@@ -214,12 +220,9 @@ def measure_level_time(config: EaConfig, f, i: int, replicates: int) -> SampleSt
     starting from one member at fitness exactly i and mu - 1 one level below
     (all mu at 0 when i = 0). The runs evolve fitness levels, so f must be
     one of the LUMPABLE benchmarks."""
-    config.validate()
     check_fitness(config, f)
-    if not 0 <= i <= config.n - 1:
-        raise ConfigError(f"need 0 <= i <= n-1, got i={i}, n={config.n}")
-    if replicates < 1:
-        raise ConfigError("replicates must be >= 1")
+    check_level(config.n, i)
+    check_count("replicates", replicates)
     cap = resolve_budget(config)
     initial = [i] + [max(i - 1, 0)] * (config.mu - 1)
     return _replicates(config.seed, replicates, lambda rng: evolve_levels(

@@ -15,17 +15,22 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 
+from .bounds import check_n
 from .engines import EaConfig, EvolutionState, resolve_budget
-from .genotype import BitString, ConfigError
+from .genotype import BitString, ConfigError, check_count
 # unused here: bench/tracer.py patches trees.mutate_mask by name (ROADMAP item 7)
 from .genotype import mutate_mask
 from .rng import binomial_draw
 
 
-def total_nodes(t: int, lam: int) -> int:
-    """Exact node count (lam+1)^t of the complete tree after t iterations."""
+def _check_tree(t, lam):
     if t < 0 or lam < 1:
         raise ConfigError("need t >= 0 and lambda >= 1")
+
+
+def total_nodes(t: int, lam: int) -> int:
+    """Exact node count (lam+1)^t of the complete tree after t iterations."""
+    _check_tree(t, lam)
     return (lam + 1) ** t
 
 
@@ -34,8 +39,7 @@ def count_at_distance(t: int, lam: int, ell: int) -> int:
 
     ell > t yields 0 (no such nodes), which is not an error.
     """
-    if t < 0 or lam < 1:
-        raise ConfigError("need t >= 0 and lambda >= 1")
+    _check_tree(t, lam)
     if ell < 0:
         raise ConfigError("distance must be nonnegative")
     if ell > t:
@@ -43,18 +47,11 @@ def count_at_distance(t: int, lam: int, ell: int) -> int:
     return math.comb(t, ell) * lam ** ell
 
 
-def _check_length(n):
-    if n < 2:
-        raise ConfigError("n must be >= 2")
-    if n > sys.float_info.max:
-        raise ConfigError("n must lie within the float range")
-
-
 def p_opt(ell: int, n: int) -> float:
     """Label-probability bound min{1, (ell/(n-1))^(n/4)}."""
     if ell < 0:
         raise ConfigError("ell must be nonnegative")
-    _check_length(n)
+    check_n(n)
     if ell >= n - 1:
         return 1.0
     return (ell / (n - 1)) ** (n / 4.0)
@@ -104,14 +101,9 @@ def verify_p_opt(root: BitString, target: BitString, ell: int,
     the binomial standard deviation at the bound itself, so `within` means
     empirical <= bound + 3 sigma.
     """
-    if root.n != target.n:
-        raise ConfigError("root and target must have the same length")
     n = root.n
-    _check_length(n)
-    if ell < 0:
-        raise ConfigError("ell must be nonnegative")
-    if samples < 1:
-        raise ConfigError("samples must be >= 1")
+    bound = p_opt(ell, n)
+    check_count("samples", samples)
     if samples > sys.float_info.max:
         raise ConfigError("samples must lie within the float range")
     hamming = root.hamming(target)
@@ -121,7 +113,6 @@ def verify_p_opt(root: BitString, target: BitString, ell: int,
     exact = _hit_probability(n, hamming, ell)
     hits = binomial_draw(rng, samples, exact)
     empirical = hits / samples
-    bound = p_opt(ell, n)
     sigma = math.sqrt(bound * (1.0 - bound) / samples)
     return POptCheck(ell, n, samples, hits, empirical, bound, sigma,
                      empirical <= bound + 3.0 * sigma, exact)
@@ -142,9 +133,9 @@ def q_opt_bound(t: int, n: int, mu: int, lam: int) -> QOptBound:
     """mu * sum_{ell=0}^{t} C(t,ell) (lam/mu)^ell p_opt(ell, n), accumulated in
     log space so neither the binomials nor the tiny p_opt factors overflow or
     underflow; a sum past the float range is reported as inf, clamped to 1."""
-    if t < 0 or n < 2 or mu < 1 or lam < 1:
-        raise ConfigError("need t >= 0, n >= 2, mu >= 1, lambda >= 1")
-    _check_length(n)
+    _check_tree(t, lam)
+    check_n(n)
+    check_count("mu", mu)
     log_ratio = math.log(lam) - math.log(mu)   # lam / mu may be past the float range
     log_mu = math.log(mu)
     log_comb = 0.0                          # log C(t, ell), one factor at a time
@@ -186,7 +177,6 @@ class FamilyTreeResult:
 def simulate_family_tree(config: EaConfig, f) -> FamilyTreeResult:
     """Instrument a real run, tracking depth counters on individuals rather
     than materializing trees; the realized forest has only mu + lam*t nodes."""
-    config.validate()
     es = EvolutionState(config, f)
     mu = config.mu
     depths = [0] * mu

@@ -90,12 +90,6 @@ class TestRun:
         code, _ = _run(tmp_path, "run", "--n", "10", "--frobnicate")
         assert code == 2
 
-    def test_n_below_two_rejected(self, tmp_path, capsys):
-        # the master bound reported in bound_total is undefined at n = 1
-        code, data = _run(tmp_path, "run", "--n", "1")
-        assert code == 2 and data == b""
-        assert capsys.readouterr().err.count("\n") == 1
-
     def test_large_n_runs(self, tmp_path):
         # sampler tables used to overflow a float from n = 1030 on
         code, data = _run(tmp_path, "run", "--n", "1030", "--mu", "2",
@@ -206,8 +200,12 @@ class TestFloatRange:
          "error: a random string needs n <= 2147483647, "
          "the most bits random.getrandbits draws\n"),
         (("takeover", "--n", HUGE, "--mu", "2", "--lambda", "2"), 2, N_PAST),
+        # the count moves with probability about 4e-201 per iteration: the
+        # idle iterations are skipped in one draw, not stepped
+        (("ea0", "--n", "20", "--mu", "1" + "0" * 200, "--lambda", "1", "--j1", "1",
+          "--j2", "2", "--replicates", "1"), 0, ""),
     ], ids=["ea0-cap", "ea0-e-mu", "ea0-n", "tree-n", "tree-samples",
-            "tree-random-string", "takeover-n"])
+            "tree-random-string", "takeover-n", "ea0-tiny-ratio"])
     def test_exits_cleanly(self, tmp_path, capsys, argv, code, err):
         assert _run(tmp_path, *argv)[0] == code
         assert capsys.readouterr().err == err
@@ -256,7 +254,24 @@ _UNREAD = [(c, "--tie") for c in ("run", "sweep", "dominance")] + [
     for f in flags]
 
 
+#: the smallest argv of each command that n = 1 alone makes invalid
+_N_ONE_ARGV = {"run": (), "sweep": (), "bounds": (),
+               "dominance": ("--replicates", "3"),
+               "takeover": ("--mu", "2", "--lambda", "2", "--replicates", "3"),
+               "ea0": ("--mu", "2", "--lambda", "2", "--replicates", "3"),
+               "tree": ("--t", "2", "--ell", "1")}
+
+
 class TestFlags:
+    @pytest.mark.parametrize("command", sorted(_N_ONE_ARGV))
+    def test_n_below_two_rejected(self, tmp_path, capsys, command):
+        # the bounds, and the budget derived from them, need n >= 2
+        code, data = _run(tmp_path, command, "--n", "1", *_N_ONE_ARGV[command])
+        assert code == 2
+        assert capsys.readouterr().err == "error: n must be >= 2\n"
+        if command != "sweep":      # sweep still writes its table of error rows
+            assert data == b""
+
     @pytest.mark.parametrize("command,flag", _UNREAD, ids=[f"{c} {f}" for c, f in _UNREAD])
     def test_unread_flag_exits_validation(self, tmp_path, capsys, command, flag):
         value = "offspring-first" if flag == "--tie" else "1"

@@ -24,24 +24,30 @@ import oracles
 
 
 class TestConfigValidation:
+    # construction validates, so each bad config is built inside the block
     def test_basic_ranges(self):
-        for bad in (EaConfig(0, 1, 1), EaConfig(5, 0, 1), EaConfig(5, 1, 0),
-                    EaConfig(5, 1, 1, c=0.0), EaConfig(5, 1, 1, c=6.0),
-                    EaConfig(5, 1, 1, max_iterations=0),
-                    EaConfig(5, 1, 10 ** 30), EaConfig(5, 1, 10 ** 400)):
+        for args, kwargs in (((0, 1, 1), {}), ((5, 0, 1), {}), ((5, 1, 0), {}),
+                             ((5, 1, 1), {"c": 0.0}), ((5, 1, 1), {"c": 6.0}),
+                             ((5, 1, 1), {"max_iterations": 0}),
+                             ((5, 1, 10 ** 30), {}), ((5, 1, 10 ** 400), {})):
             with pytest.raises(ConfigError):
-                bad.validate()
+                EaConfig(*args, **kwargs)
         EaConfig(5, 1, 10 ** 15).validate()
 
     def test_comma_needs_enough_offspring(self):
         with pytest.raises(ConfigError):
-            EaConfig(10, 4, 3, Variant.COMMA).validate()
+            EaConfig(10, 4, 3, Variant.COMMA)
         EaConfig(10, 4, 4, Variant.COMMA).validate()
 
     def test_fairplus_needs_equal_counts(self):
         with pytest.raises(ConfigError):
-            EaConfig(10, 4, 8, Variant.FAIRPLUS).validate()
+            EaConfig(10, 4, 8, Variant.FAIRPLUS)
         EaConfig(10, 4, 4, Variant.FAIRPLUS).validate()
+
+    def test_replace_validates(self):
+        config = EaConfig(10, 4, 4, Variant.FAIRPLUS)
+        with pytest.raises(ConfigError):
+            replace(config, lam=8)
 
     def test_mutation_probability(self):
         assert EaConfig(20, 1, 1, c=2.0).p == 0.1

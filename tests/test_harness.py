@@ -73,12 +73,11 @@ class TestSweep:
         assert table.completed_samples() == 5 - good.exhausted
 
     def test_spec_validation(self):
-        for spec in (SweepSpec(ns=(), mus=(1,), lams=(1,)),
-                     SweepSpec(ns=(8,), mus=(1,), lams=(1,), replicates=0),
-                     SweepSpec(ns=(8,), mus=(1,), lams=(1,), budget_mult=0.0),
-                     SweepSpec(ns=(8,), mus=(1,), lams=(1,), fitness="nope")):
+        # construction validates, so each bad spec is built inside the block
+        for kwargs in ({"ns": ()}, {"replicates": 0}, {"budget_mult": 0.0},
+                       {"fitness": "nope"}):
             with pytest.raises(ConfigError):
-                spec.validate()
+                SweepSpec(**{"ns": (8,), "mus": (1,), "lams": (1,), **kwargs})
 
 
 class TestRatioFit:

@@ -1,7 +1,9 @@
-"""The package surface: every name `ealab.__all__` lists resolves, and no
-module imports a name it never reads."""
+"""The package surface: every name `ealab.__all__` lists resolves, no
+module imports a name it never reads, and each input rule is checked in one
+place."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import ealab
@@ -43,3 +45,50 @@ def test_no_unused_imports():
     for path in sorted(SRC.glob("*.py")):
         unused |= _unused_imports(path)
     assert unused == set(UNUSED_ALLOWED)
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _is_dataclass(cls):
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def test_validate_runs_only_at_construction():
+    # a config or spec validates itself in __post_init__, so an instance is
+    # valid and no caller checks it again
+    stray = []
+    for module, tree in _trees().items():
+        allowed = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+                   for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                   for node in ast.walk(fn)}
+        stray += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "validate"
+                  and id(node) not in allowed]
+    assert stray == []
+
+
+def _template(node):
+    # a message with each f-string field written as {}
+    if isinstance(node, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                       for part in node.values)
+    return node.value if isinstance(node, ast.Constant) else ast.unparse(node)
+
+
+def test_each_config_error_message_raised_once():
+    # a rule raised from two places is a rule written twice
+    sites = defaultdict(list)
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "ConfigError"):
+                sites[_template(node.exc.args[0])].append(f"{module}:{node.lineno}")
+    assert {msg: where for msg, where in sites.items() if len(where) > 1} == {}

@@ -22,28 +22,26 @@ def _upper(stats, bound):
 
 
 class TestSpecs:
+    # construction validates, so each bad spec is built inside the block
     def test_takeover_validation(self):
         good = TakeoverSpec(10, 4, 4, i=5, j1=1, j2=4)
         good.validate()
-        bad = (TakeoverSpec(10, 4, 4, i=5, j1=0, j2=4),
-               TakeoverSpec(10, 4, 4, i=5, j1=3, j2=2),
-               TakeoverSpec(10, 4, 4, i=5, j1=1, j2=5),
-               TakeoverSpec(10, 4, 4, i=10, j1=1, j2=4),
-               TakeoverSpec(10, 4, 4, i=5, j1=1, j2=4, replicates=0),
-               TakeoverSpec(10, 4, 4, i=5, j1=1, j2=4, max_iterations=0),
-               TakeoverSpec(10 ** 400, 4, 4, i=5, j1=1, j2=4))
-        for spec in bad:
+        for n, i, j1, j2, kwargs in ((10, 5, 0, 4, {}), (10, 5, 3, 2, {}),
+                                     (10, 5, 1, 5, {}), (10, 10, 1, 4, {}),
+                                     (10, 5, 1, 4, {"replicates": 0}),
+                                     (10, 5, 1, 4, {"max_iterations": 0}),
+                                     (10 ** 400, 5, 1, 4, {})):
             with pytest.raises(ConfigError):
-                spec.validate()
+                TakeoverSpec(n, 4, 4, i=i, j1=j1, j2=j2, **kwargs)
 
     def test_ea0_validation(self):
         Ea0Spec(10, 4, 8, 1, 4).validate()
-        for spec in (Ea0Spec(1, 4, 8, 1, 4), Ea0Spec(10, 4, 0, 1, 4),
-                     Ea0Spec(10, 4, 8, 4, 4), Ea0Spec(10, 4, 8, 1, 4, replicates=0),
-                     Ea0Spec(10, 4, 8, 1, 4, max_iterations=0),
-                     Ea0Spec(10 ** 400, 4, 8, 1, 4)):
+        for args, kwargs in (((1, 4, 8, 1, 4), {}), ((10, 4, 0, 1, 4), {}),
+                             ((10, 4, 8, 4, 4), {}), ((10, 4, 8, 1, 4), {"replicates": 0}),
+                             ((10, 4, 8, 1, 4), {"max_iterations": 0}),
+                             ((10 ** 400, 4, 8, 1, 4), {})):
             with pytest.raises(ConfigError):
-                spec.validate()
+                Ea0Spec(*args, **kwargs)
 
 
 class TestTakeover:
@@ -127,13 +125,16 @@ class TestTakeover:
 
 class TestEa0:
     def test_trace_shape(self):
+        # change points (t, count): both rise strictly from (0, j1), and a
+        # finished run ends at its own t with the count at j2 or above
         rng = random.Random(5)
-        t, trace = ea0_once(rng, 20, 4, 8, 1, 4, cap=10 ** 4)
-        assert trace[0] == 1
-        assert all(a <= b for a, b in zip(trace, trace[1:]))
+        t, points = ea0_once(rng, 20, 4, 8, 1, 4, cap=10 ** 4)
+        assert points[0] == (0, 1)
+        assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(points, points[1:]))
+        assert all(1 <= j <= 4 for _, j in points)
         if t is not None:
-            assert len(trace) == t + 1
-            assert trace[-1] >= 4
+            assert points[-1][0] == t
+            assert points[-1][1] >= 4
 
     def test_chain_oracle(self):
         spec = Ea0Spec(20, 4, 4, 1, 4, replicates=10 ** 4, seed=41)
