@@ -13,6 +13,7 @@ command line override the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -23,13 +24,13 @@ from .bounds import (FAST_REGIME, ea0_growth_lb, level_bound_fast,
                      phase_params, sudholt_bound, takeover_bound_fast,
                      takeover_bound_general)
 from .engines import DEFAULT_BUDGET_MULT, EaConfig, Variant, iteration_budget
-from .genotype import BitString, ConfigError, make_fitness
+from .genotype import ConfigError, make_fitness
 from .harness import (ExperimentTable, SweepSpec, cell_text, compare_dominance,
                       csv_bytes, emit, fit_ratio, json_bytes, parse_table, run_cell,
                       sweep)
 from .rng import mix64
 from .takeover import Ea0Spec, TakeoverSpec, measure_takeover, run_ea0
-from .trees import count_at_distance, p_opt, q_opt_bound, total_nodes, verify_p_opt
+from .trees import count_at_distance, p_opt, q_opt_bound, total_nodes, verify_p_opt_at
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -64,116 +65,6 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: config files cannot nest")
         values[key] = val
     return values
-
-
-def _common(sp: argparse.ArgumentParser, seed=False, replicates=None, batch=False):
-    """--out, --format and --config, which every command takes, plus the
-    flags its handler reads: --seed, --replicates when given a default, and
-    with batch --budget-mult and --workers."""
-    if seed:
-        sp.add_argument("--seed", type=int, default=0)
-    if replicates is not None:
-        sp.add_argument("--replicates", type=int, default=replicates)
-    sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
-    if batch:
-        sp.add_argument("--budget-mult", type=float, default=DEFAULT_BUDGET_MULT,
-                        help="iteration budget as a multiple of the bound total")
-        sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--config", default=None, help="key = value defaults file")
-
-
-def _engine_args(sp, list_valued=False):
-    kind = _int_list if list_valued else int
-    sp.add_argument("--n", type=kind, required=True)
-    sp.add_argument("--mu", type=kind, default=(1,) if list_valued else 1)
-    sp.add_argument("--lambda", dest="lam", type=kind,
-                    default=(1,) if list_valued else 1)
-    sp.add_argument("--variant", choices=sorted(_VARIANTS), default="plus")
-    sp.add_argument("--c", type=float, default=1.0,
-                    help="mutation probability scale, p = c/n")
-    sp.add_argument("--fitness", choices=["onemax", "multiopt"], default="onemax")
-    sp.add_argument("--k", type=int, default=None,
-                    help="zero budget for the multiopt benchmark")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ealab",
-        description="Runtime laboratory for population evolutionary algorithms "
-                    "on bit-string benchmarks.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("run", help="replicated runs of one configuration")
-    _engine_args(sp)
-    sp.add_argument("--max-iterations", type=int, default=None)
-    _common(sp, seed=True, replicates=1, batch=True)
-
-    sp = sub.add_parser("sweep", help="grid of configurations, one table row each")
-    _engine_args(sp, list_valued=True)
-    _common(sp, seed=True, replicates=100, batch=True)
-
-    sp = sub.add_parser("takeover", help="plateau takeover time of fit members")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--mu", type=int, default=1)
-    sp.add_argument("--lambda", dest="lam", type=int, default=1)
-    sp.add_argument("--i", type=int, default=None, help="plateau fitness level (default n//2)")
-    sp.add_argument("--j1", type=int, default=1)
-    sp.add_argument("--j2", type=int, default=None, help="target fit count (default mu)")
-    sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--max-iterations", type=int, default=None)
-    _common(sp, seed=True, replicates=1000)
-
-    sp = sub.add_parser("ea0", help="copy-only growth process from j1 to j2")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--mu", type=int, default=1)
-    sp.add_argument("--lambda", dest="lam", type=int, default=1)
-    sp.add_argument("--j1", type=int, default=1)
-    sp.add_argument("--j2", type=int, default=None, help="target count (default mu)")
-    sp.add_argument("--max-iterations", type=int, default=None)
-    _common(sp, seed=True, replicates=1000)
-
-    sp = sub.add_parser("bounds", help="closed-form bounds for a configuration")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--mu", type=int, default=1)
-    sp.add_argument("--lambda", dest="lam", type=int, default=1)
-    sp.add_argument("--j1", type=int, default=None)
-    sp.add_argument("--j2", type=int, default=None)
-    sp.add_argument("--i", type=int, default=None, help="fitness level for level bounds")
-    sp.add_argument("--mu0", type=int, default=None,
-                    help="fit-count parameter (default: best by scan)")
-    _common(sp)
-
-    sp = sub.add_parser("tree", help="lineage-tree counts and label bounds")
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", type=int, default=1)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--mu", type=int, default=1)
-    sp.add_argument("--ell", type=int, required=True, help="distance from the root")
-    sp.add_argument("--samples", type=int, default=0,
-                    help="samples in the binomial hit-count draw at the exact hit rate "
-                         "(0 = skip)")
-    sp.add_argument("--hamming", type=int, default=None,
-                    help="root-to-target distance (default ceil(n/4))")
-    _common(sp, seed=True)
-
-    sp = sub.add_parser("dominance", help="compare two variants at equal n, mu, lambda")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--mu", type=int, default=1)
-    sp.add_argument("--lambda", dest="lam", type=int, default=1)
-    sp.add_argument("--variant-a", choices=sorted(_VARIANTS), default="plus")
-    sp.add_argument("--variant-b", choices=sorted(_VARIANTS), default="comma")
-    sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--fitness", choices=["onemax", "multiopt"], default="onemax")
-    sp.add_argument("--k", type=int, default=None)
-    _common(sp, seed=True, replicates=1000, batch=True)
-
-    sp = sub.add_parser("fit", help="bound-ratio spread of an existing table")
-    sp.add_argument("--in", dest="in_path", required=True)
-    sp.add_argument("--in-format", choices=["csv", "json"], default="csv")
-    _common(sp)
-
-    return parser
 
 
 def emit_record(record: dict, fmt: str) -> bytes:
@@ -214,7 +105,7 @@ def _cmd_run(args):
                       args.c, budget, args.seed)
     row = run_cell(config, f, args.replicates, args.workers)
     code = EXIT_EXHAUSTED if row.exhausted == args.replicates else EXIT_OK
-    return code, emit(ExperimentTable((row,)), args.fmt or "csv")
+    return code, emit(ExperimentTable((row,)), args.fmt)
 
 
 def _cmd_sweep(args):
@@ -232,7 +123,7 @@ def _cmd_sweep(args):
         code = EXIT_EXHAUSTED
     else:
         code = EXIT_OK
-    return code, emit(table, args.fmt or "csv")
+    return code, emit(table, args.fmt)
 
 
 def _cmd_takeover(args):
@@ -249,7 +140,7 @@ def _cmd_takeover(args):
     if args.j1 == 1 and j2 == args.mu:
         record["bound_comparison"] = sudholt_bound(args.mu, args.lam)
     code = EXIT_EXHAUSTED if stats.count == 0 else EXIT_OK
-    return code, emit_record(record, args.fmt or "json")
+    return code, emit_record(record, args.fmt)
 
 
 def _cmd_ea0(args):
@@ -261,7 +152,7 @@ def _cmd_ea0(args):
               "j1": args.j1, "j2": j2, **_stats_record(stats),
               "growth_lb": ea0_growth_lb(args.mu, args.lam, args.j1, j2)}
     code = EXIT_EXHAUSTED if stats.count == 0 else EXIT_OK
-    return code, emit_record(record, args.fmt or "json")
+    return code, emit_record(record, args.fmt)
 
 
 def _cmd_bounds(args):
@@ -292,7 +183,7 @@ def _cmd_bounds(args):
         if args.lam / args.mu > FAST_REGIME:
             record["level_fast"] = level_bound_fast(
                 args.n, args.mu, args.lam, args.i, mu0)
-    return EXIT_OK, emit_record(record, args.fmt or "text")
+    return EXIT_OK, emit_record(record, args.fmt)
 
 
 def _cmd_tree(args):
@@ -312,21 +203,13 @@ def _cmd_tree(args):
     record["q_opt_raw"] = q.raw
     record["q_opt"] = q.clamped
     if args.samples > 0:
-        rng = random.Random(mix64(args.seed, 0))
         hamming = args.hamming if args.hamming is not None else -(-args.n // 4)
-        if not 0 < hamming <= args.n:
-            raise ConfigError(f"need 1 <= hamming <= n, got {hamming}")
-        root = BitString.random(args.n, rng)
-        # bits set in bytes and converted once; an int OR costs O(n) per bit
-        flip = bytearray((args.n + 7) // 8)
-        for pos in rng.sample(range(args.n), hamming):
-            flip[pos >> 3] |= 1 << (pos & 7)
-        target = BitString(args.n, root.mask ^ int.from_bytes(flip, "little"))
-        check = verify_p_opt(root, target, args.ell, args.samples, rng)
+        check = verify_p_opt_at(args.n, hamming, args.ell, args.samples,
+                                random.Random(mix64(args.seed, 0)))
         record.update(hamming=hamming, samples=check.samples, hits=check.hits,
                       exact=check.exact, empirical=check.empirical, sigma=check.sigma,
                       within=check.within)
-    return EXIT_OK, emit_record(record, args.fmt or "json")
+    return EXIT_OK, emit_record(record, args.fmt)
 
 
 def _cmd_dominance(args):
@@ -346,7 +229,7 @@ def _cmd_dominance(args):
               "mean_diff": report.mean_diff, "pooled_se": report.pooled_se,
               "u_statistic": report.u_statistic, "p_value": report.p_value}
     empty = report.stats_a.count == 0 and report.stats_b.count == 0
-    return (EXIT_EXHAUSTED if empty else EXIT_OK), emit_record(record, args.fmt or "json")
+    return (EXIT_EXHAUSTED if empty else EXIT_OK), emit_record(record, args.fmt)
 
 
 def _cmd_fit(args):
@@ -360,12 +243,92 @@ def _cmd_fit(args):
               "max_ratio": fit.max_ratio, "spread": fit.spread,
               "no_data": fit.no_data}
     code = EXIT_EXHAUSTED if fit.no_data else EXIT_OK
-    return code, emit_record(record, args.fmt or "json")
+    return code, emit_record(record, args.fmt)
 
 
-_HANDLERS = {"run": _cmd_run, "sweep": _cmd_sweep, "takeover": _cmd_takeover,
-             "ea0": _cmd_ea0, "bounds": _cmd_bounds, "tree": _cmd_tree,
-             "dominance": _cmd_dominance, "fit": _cmd_fit}
+_VARIANT = {"choices": sorted(_VARIANTS), "default": "plus"}
+_INT_LIST = {"type": _int_list, "default": (1,)}
+
+#: argparse keywords of every flag, by its name without the leading "--"
+_FLAGS = {
+    "n": {"type": int, "required": True},
+    "mu": {"type": int, "default": 1},
+    "lambda": {"dest": "lam", "type": int, "default": 1},
+    "variant": _VARIANT,
+    "variant-a": _VARIANT,
+    "variant-b": {**_VARIANT, "default": "comma"},
+    "c": {"type": float, "default": 1.0, "help": "mutation probability scale, p = c/n"},
+    "fitness": {"choices": ["onemax", "multiopt"], "default": "onemax"},
+    "k": {"type": int, "default": None, "help": "zero budget for the multiopt benchmark"},
+    "max-iterations": {"type": int, "default": None},
+    "seed": {"type": int, "default": 0},
+    "replicates": {"type": int, "default": 1000},
+    "budget-mult": {"type": float, "default": DEFAULT_BUDGET_MULT,
+                    "help": "iteration budget as a multiple of the bound total"},
+    "workers": {"type": int, "default": None},
+    "i": {"type": int, "default": None,
+          "help": "fitness level of the plateau (takeover, default n//2) "
+                  "or of the level bounds (bounds)"},
+    "j1": {"type": int, "default": 1},
+    "j2": {"type": int, "default": None, "help": "target fit count (default mu)"},
+    "mu0": {"type": int, "default": None,
+            "help": "fit-count parameter (default: best by scan)"},
+    "t": {"type": int, "required": True},
+    "ell": {"type": int, "required": True, "help": "distance from the root"},
+    "samples": {"type": int, "default": 0,
+                "help": "samples in the binomial hit-count draw at the exact hit rate "
+                        "(0 = skip)"},
+    "hamming": {"type": int, "default": None,
+                "help": "root-to-target distance (default ceil(n/4))"},
+    "in": {"dest": "in_path", "required": True},
+    "in-format": {"choices": ["csv", "json"], "default": "csv"},
+    "out": {"default": None, "help": "output path (default stdout)"},
+    "format": {"dest": "fmt", "choices": ["csv", "json"]},
+    "config": {"default": None, "help": "key = value defaults file"},
+}
+
+#: command -> (help, flags in README's order besides out, format and config,
+#: the command's own keywords for some of them, default format, handler)
+_COMMANDS = {
+    "run": ("replicated runs of one configuration",
+            "n mu lambda variant c fitness k max-iterations seed replicates "
+            "budget-mult workers", {"replicates": {"default": 1}}, "csv", _cmd_run),
+    "sweep": ("grid of configurations, one table row each",
+              "n mu lambda variant c fitness k seed replicates budget-mult workers",
+              {"n": {"type": _int_list}, "mu": _INT_LIST, "lambda": _INT_LIST,
+               "replicates": {"default": 100}}, "csv", _cmd_sweep),
+    "takeover": ("plateau takeover time of fit members",
+                 "n mu lambda i j1 j2 c max-iterations seed replicates", {},
+                 "json", _cmd_takeover),
+    "ea0": ("copy-only growth process from j1 to j2",
+            "n mu lambda j1 j2 max-iterations seed replicates", {}, "json", _cmd_ea0),
+    "bounds": ("closed-form bounds for a configuration", "n mu lambda j1 j2 i mu0",
+               {"j1": {"default": None}}, "text", _cmd_bounds),
+    "tree": ("lineage-tree counts and label bounds",
+             "t lambda n mu ell samples hamming seed", {}, "json", _cmd_tree),
+    "dominance": ("compare two variants at equal n, mu, lambda",
+                  "n mu lambda variant-a variant-b c fitness k seed replicates "
+                  "budget-mult workers", {}, "json", _cmd_dominance),
+    "fit": ("bound-ratio spread of an existing table", "in in-format", {},
+            "json", _cmd_fit),
+}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on first use: parse_args leaves it
+    unchanged, so one serves every main call of a process."""
+    parser = argparse.ArgumentParser(
+        prog="ealab",
+        description="Runtime laboratory for population evolutionary algorithms "
+                    "on bit-string benchmarks.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (text, flags, own, fmt, handler) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        for flag in flags.split() + ["out", "format", "config"]:
+            sp.add_argument("--" + flag, **{**_FLAGS[flag], **own.get(flag, {})})
+        sp.set_defaults(fmt=fmt, handler=handler)
+    return parser
 
 
 def _config_path(argv):
@@ -380,7 +343,6 @@ def _config_path(argv):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
         path = _config_path(argv) if argv and not argv[0].startswith("-") else None
         if path is not None:
@@ -389,8 +351,8 @@ def main(argv=None) -> int:
                 extra.extend(("--" + key.replace("_", "-"), value))
             # config values go first so explicit flags win (last one parses)
             argv = [argv[0]] + extra + argv[1:]
-        args = parser.parse_args(argv)
-        code, data = _HANDLERS[args.command](args)
+        args = build_parser().parse_args(argv)
+        code, data = args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except ConfigError as exc:

@@ -66,7 +66,7 @@ import os
 import random
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, repeat
@@ -541,8 +541,9 @@ def check_fitness(config: EaConfig, f) -> None:
     _check_dimension(config, f)
 
 
-def run(config: EaConfig, f) -> RunResult:
-    """Execute one run of the configured variant on the benchmark f.
+def run(config: EaConfig, f, rng=None) -> RunResult:
+    """Execute one run of the configured variant on the benchmark f, drawing
+    from rng (default random.Random(config.seed)).
 
     The initial population is uniform random. Termination is checked on the
     initial population and then after every selection step; running out of
@@ -552,7 +553,8 @@ def run(config: EaConfig, f) -> RunResult:
     """
     check_fitness(config, f)
     mu, lam = config.mu, config.lam
-    rng = random.Random(config.seed)
+    if rng is None:
+        rng = random.Random(config.seed)
     budget = resolve_budget(config)
     fits = [f.value(rng.getrandbits(config.n)) for _ in range(mu)]
     changes = []
@@ -564,7 +566,7 @@ def run(config: EaConfig, f) -> RunResult:
 
 def _run_one(args):
     config, f, seed = args
-    return run(replace(config, seed=seed), f)
+    return run(config, f, random.Random(seed))
 
 
 def run_batch(config: EaConfig, f, replicates: int, workers: int | None = None):
@@ -614,7 +616,7 @@ def run_batch(config: EaConfig, f, replicates: int, workers: int | None = None):
                 with ProcessPoolExecutor(max_workers=size) as ex:
                     return results + list(ex.map(_run_one, jobs,
                                                  chunksize=max(1, left // (size * 4))))
-        results.append(run(replace(config, seed=seed), f))
+        results.append(run(config, f, random.Random(seed)))
     return results
 
 

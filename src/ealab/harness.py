@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -23,10 +24,15 @@ from .genotype import ConfigError, check_count, make_fitness
 from .rng import mix64
 from .stats import SampleStats, summarize
 
-#: column order of every emitted table; "lambda" is the offspring count
-CSV_COLUMNS = ("n", "mu", "lambda", "variant", "replicates",
-               "mean_T", "stderr_T", "median_T", "q10", "q90",
-               "exhausted", "bound_total", "ratio")
+#: (column, ExperimentRow attribute, type) of every emitted table, in order;
+#: "lambda" is the offspring count
+_COLUMNS = (("n", "n", int), ("mu", "mu", int), ("lambda", "lam", int),
+            ("variant", "variant", str), ("replicates", "replicates", int),
+            ("mean_T", "mean_T", float), ("stderr_T", "stderr_T", float),
+            ("median_T", "median_T", float), ("q10", "q10", float),
+            ("q90", "q90", float), ("exhausted", "exhausted", int),
+            ("bound_total", "bound_total", float), ("ratio", "ratio", float))
+CSV_COLUMNS = tuple(column for column, _, _ in _COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -271,10 +277,7 @@ def cell_text(value) -> str:
     return str(value)
 
 
-def _row_values(row: ExperimentRow):
-    return (row.n, row.mu, row.lam, row.variant, row.replicates,
-            row.mean_T, row.stderr_T, row.median_T, row.q10, row.q90,
-            row.exhausted, row.bound_total, row.ratio)
+_row_values = operator.attrgetter(*(attr for _, attr, _ in _COLUMNS))
 
 
 def _row_record(row: ExperimentRow) -> dict:
@@ -340,25 +343,14 @@ def _field(record: dict, key: str, kind):
 
 
 def _row_from_record(record: dict, stored_extras: bool) -> ExperimentRow:
-    mean = _field(record, "mean_T", float)
-    q10 = _field(record, "q10", float)
-    q90 = _field(record, "q90", float)
+    values = {attr: _field(record, column, kind) for column, attr, kind in _COLUMNS}
     if stored_extras:
         skew = bool(record.get("skew_warned", False))
         error = record.get("error")
     else:
-        skew = _skew_warned(mean, q10, q90)
+        skew = _skew_warned(values["mean_T"], values["q10"], values["q90"])
         error = None
-    return ExperimentRow(
-        n=_field(record, "n", int), mu=_field(record, "mu", int),
-        lam=_field(record, "lambda", int), variant=_field(record, "variant", str),
-        replicates=_field(record, "replicates", int),
-        mean_T=mean, stderr_T=_field(record, "stderr_T", float),
-        median_T=_field(record, "median_T", float), q10=q10, q90=q90,
-        exhausted=_field(record, "exhausted", int),
-        bound_total=_field(record, "bound_total", float),
-        ratio=_field(record, "ratio", float),
-        skew_warned=skew, error=error)
+    return ExperimentRow(**values, skew_warned=skew, error=error)
 
 
 def _parse_rows(records, stored_extras: bool) -> ExperimentTable:

@@ -101,12 +101,19 @@ def verify_p_opt(root: BitString, target: BitString, ell: int,
     the binomial standard deviation at the bound itself, so `within` means
     empirical <= bound + 3 sigma.
     """
-    n = root.n
+    return verify_p_opt_at(root.n, root.hamming(target), ell, samples, rng)
+
+
+def verify_p_opt_at(n: int, hamming: int, ell: int, samples: int, rng) -> POptCheck:
+    """verify_p_opt for any root and target hamming bits apart: the rate
+    depends on the two strings only through n and that distance, so none
+    is built."""
+    if not 0 < hamming <= n:
+        raise ConfigError(f"need 1 <= hamming <= n, got {hamming}")
     bound = p_opt(ell, n)
     check_count("samples", samples)
     if samples > sys.float_info.max:
         raise ConfigError("samples must lie within the float range")
-    hamming = root.hamming(target)
     if 4 * hamming < n:
         raise ConfigError(
             f"premise violated: Hamming distance {hamming} < n/4 = {n / 4}")

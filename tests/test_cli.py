@@ -196,9 +196,9 @@ class TestFloatRange:
         (("tree", "--t", "3", "--n", HUGE, "--ell", "1"), 2, N_PAST),
         (("tree", "--t", "3", "--n", "8", "--ell", "1", "--samples", HUGE), 2,
          "error: samples must lie within the float range\n"),
-        (("tree", "--t", "3", "--n", EDGE, "--ell", "1", "--samples", "1"), 2,
-         "error: a random string needs n <= 2147483647, "
-         "the most bits random.getrandbits draws\n"),
+        # the hit count comes from n and the Hamming distance, so no n-bit
+        # string is drawn
+        (("tree", "--t", "3", "--n", EDGE, "--ell", "1", "--samples", "1"), 0, ""),
         (("takeover", "--n", HUGE, "--mu", "2", "--lambda", "2"), 2, N_PAST),
         # the count moves with probability about 4e-201 per iteration: the
         # idle iterations are skipped in one draw, not stepped
@@ -407,6 +407,14 @@ def test_small_argv_exits_cleanly(case):
             code = main(argv + ["--out", os.devnull])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_help_exits_ok(capsys, command):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: ealab {command} ")
+    assert "--out" in out and "--format" in out and "--config" in out
 
 
 class TestConfigFile:

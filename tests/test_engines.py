@@ -313,10 +313,10 @@ def _charge(monkeypatch, cost):
     calls = [0]
     real_run = engines.run
 
-    def charged_run(config, f):
+    def charged_run(config, f, rng=None):
         now[0] += cost(calls[0])
         calls[0] += 1
-        return real_run(config, f)
+        return real_run(config, f, rng)
 
     monkeypatch.setattr(engines, "perf_counter", lambda: now[0])
     monkeypatch.setattr(engines, "run", charged_run)

@@ -1,9 +1,10 @@
 """The package surface: every name `ealab.__all__` lists resolves, no
-module imports a name it never reads, and each input rule is checked in one
-place."""
+module imports a name it never reads, each input rule is checked in one
+place, and each command-line flag is declared once."""
 
 import ast
-from collections import defaultdict
+import re
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import ealab
@@ -92,3 +93,16 @@ def test_each_config_error_message_raised_once():
                     and getattr(node.exc.func, "id", None) == "ConfigError"):
                 sites[_template(node.exc.args[0])].append(f"{module}:{node.lineno}")
     assert {msg: where for msg, where in sites.items() if len(where) > 1} == {}
+
+
+def test_each_cli_flag_declared_once():
+    # a flag spelled out twice is a flag whose type or default can drift
+    tree = _trees()["cli"]
+    literals = Counter(node.value for node in ast.walk(tree)
+                       if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                       and re.fullmatch(r"--[a-z][\w-]*", node.value))
+    assert {flag: k for flag, k in literals.items() if k > 1} == {}
+    table = next(node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "_FLAGS")
+    names = Counter(key.value for key in table.keys)
+    assert {name: k for name, k in names.items() if k > 1} == {}
