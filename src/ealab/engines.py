@@ -17,30 +17,28 @@ it `run_batch`, the sweeps and the dominance comparisons, evolve this chain
 for level-leaving times.
 
 One step of the chain draws only the offspring that can enter the
-population, as descending order statistics of the lambda offspring. Under
-plus and comma selection every offspring has the same law: the parent
-mixture M, in which level g weighs c_g / mu (c_g members sit at g). The step
-works in survival space, s = Pr(offspring > value) under M: the best of lam
-offspring has s_1 = 1 - (1 - V A)^(1/lam) for a uniform V, and the others are
-uniform above it, so s_(i+1) = s_i + (1 - s_i)(1 - V'^(1/(lam - i))). Each s
-maps to a value through M's survival function, which is evaluated lazily,
-from the worst value w upwards, and memoised for the iteration.
-
-* Plus: an iteration changes the population only if some offspring beats w,
-  which one offspring does with probability q = Pr_M(offspring > w). The
-  idle iterations before it are skipped in one geometric draw, A = 1 -
-  (1 - q)^lam conditions the best offspring on beating w, and the descent
-  stops at the first offspring that cannot beat the member it would
-  displace (at most mu of them).
-* Comma: A = 1 and exactly mu draws; the population is the best mu. These
-  may fall below w, so M's survival is walked from the bottom of its
-  support, and it is kept for the 4096 populations (over all (n, p)) used
-  most recently, which small comma runs revisit over and over.
-* Fairplus: level g has exactly c_g offspring, so each level runs the same
-  descent with its own law and c_g in place of lam. An iteration is idle
-  with probability prod_g (1 - u_g)^c_g, u_g = Pr(offspring of g > w); the
-  first level with a beater is drawn by inversion, conditioned on one, and
-  the levels after it draw unconditionally.
+population, as descending order statistics of groups of offspring that
+share one law. A group is c offspring whose parent is drawn from a mixture
+of levels, in which level g weighs its member count c_g; plus and comma
+selection make one group of lambda over the whole population, and the
+fair-parent variant one group of c_g per level g. The step works in
+survival space, s = Pr(offspring > value) under the group's mixture: the
+best of c offspring has s_1 = 1 - U^(1/c) for a uniform U, and the others are
+uniform above it, so s_(i+1) = s_i + (1 - s_i)(1 - V^(1/(c - i))). Each s maps
+to a value through the mixture's survival function, which is evaluated
+lazily, from the worst value w an offspring must beat upwards. No group
+beats w with probability exp(L), L the sum of the groups' lg = log Pr(none
+of its c offspring beats w); the idle iterations before one does are skipped
+in one geometric draw. One uniform, conditioned on a beater, then picks the
+first group with one by inversion and gives its best offspring; the groups
+after it draw unconditionally. Each group's descent stops at its first
+offspring that cannot beat the member it would displace, and the best mu of
+members and drawn offspring survive. Comma selection has no members to
+beat: its w sits just below the support, so L = -inf and no iteration is
+idle, its descent draws mu offspring, and the survivors are those alone.
+Its mixture's survival depends on the population only and is kept for the
+4096 populations (over all (n, p)) used most recently, which small comma
+runs revisit over and over.
 
 A changing iteration costs O(mu + levels * support), whatever lambda is.
 Level tables (the survival function of one level's offspring) are shared by
@@ -74,7 +72,7 @@ from time import perf_counter
 
 from .bounds import check_n, master_bound
 from .genotype import (BitString, ConfigError, MultiOptOneMax, OneMax,
-                       UniqueOptGeneric, check_count, mutate_mask)
+                       UniqueOptGeneric, check_count, mutate_mask, random_mask)
 from .rng import TAIL_MASS, binomial_pmf, mix64
 
 #: budget applied when EaConfig.max_iterations is None, in multiples of the
@@ -219,57 +217,23 @@ def _make_offspring(rng, masks, n, lam, p, fair):
 
 
 def _select(rng, mu, par_masks, par_fits, off_masks, off_fits, comma):
-    """Keep the best mu candidates; on ties offspring go first, each group
-    sampled uniformly.
+    """Keep the best mu candidates, ranked by fitness, then offspring before
+    parents, then one uniform key each: ties go to offspring first, and the
+    tied members kept from each group are a uniform sample of it.
 
     Returns (masks, fits, sources); sources[j] is the combined index of
     survivor j (parent i -> i, offspring k -> mu + k).
     Comma selection considers offspring only.
     """
-    if comma:
-        fits_all = off_fits
-    else:
-        fits_all = par_fits + off_fits
-    cut = sorted(fits_all, reverse=True)[mu - 1]
-
-    new_masks = []
-    new_fits = []
-    sources = []
-    tie_par = []
-    tie_off = []
+    rr = rng.random
+    ranked = [(fv, 1, rr(), mu + k) for k, fv in enumerate(off_fits)]
     if not comma:
-        for i, fv in enumerate(par_fits):
-            if fv > cut:
-                new_masks.append(par_masks[i])
-                new_fits.append(fv)
-                sources.append(i)
-            elif fv == cut:
-                tie_par.append(i)
-    for k, fv in enumerate(off_fits):
-        if fv > cut:
-            new_masks.append(off_masks[k])
-            new_fits.append(fv)
-            sources.append(mu + k)
-        elif fv == cut:
-            tie_off.append(k)
-
-    need = mu - len(new_masks)
-    if need:
-        if len(tie_off) >= need:
-            chosen_off = rng.sample(tie_off, need)
-            chosen_par = []
-        else:
-            chosen_off = tie_off
-            chosen_par = rng.sample(tie_par, need - len(tie_off))
-        for k in chosen_off:
-            new_masks.append(off_masks[k])
-            new_fits.append(off_fits[k])
-            sources.append(mu + k)
-        for i in chosen_par:
-            new_masks.append(par_masks[i])
-            new_fits.append(par_fits[i])
-            sources.append(i)
-    return new_masks, new_fits, sources
+        ranked += [(fv, 0, rr(), i) for i, fv in enumerate(par_fits)]
+    ranked.sort(reverse=True)
+    kept = ranked[:mu]
+    sources = [key[3] for key in kept]
+    masks = par_masks + off_masks
+    return [masks[j] for j in sources], [key[0] for key in kept], sources
 
 
 def _level_table(n: int, p: float, g: int) -> tuple:
@@ -335,10 +299,11 @@ def _mixture(parts, v):
     mu = 0
     for c, lo, sur, size in parts:
         mu += c
-        if v < lo:
+        k = v - lo
+        if k < 0:
             s += c
-        elif v - lo < size:
-            s += c * sur[v - lo]
+        elif k < size:
+            s += c * sur[k]
     return s / mu
 
 
@@ -359,20 +324,6 @@ def _parts(tables, fits):
     return parts
 
 
-def _above(parts, w):
-    """(ms, base) with ms[k] = Pr(offspring > base + k) under the parts'
-    mixture for base + k >= w, so ms[w - base] is the chance to beat w.
-
-    A single level whose support covers w reads its table as is; otherwise
-    ms starts at w and _descend extends it upwards on demand.
-    """
-    if len(parts) == 1:
-        lo, sur, size = parts[0][1:]
-        if lo <= w < lo + size:
-            return sur, lo
-    return [_mixture(parts, w)], w
-
-
 @lru_cache(maxsize=4096)
 def _comma_survival(n: int, p: float, fits: tuple):
     """(parts, ms, base) for the sorted population fits at (n, p) under comma
@@ -389,10 +340,11 @@ def _comma_survival(n: int, p: float, fits: tuple):
     return parts, [1.0], min(part[1] for part in parts) - 1
 
 
-def _descend(parts, ms, base, k, s, rr, left, most, out, floor=None):
+def _descend(parts, ms, base, k, s, rr, left, most, out, floor=None,
+             log1p=math.log1p, expm1=math.expm1):
     """Append to out the values of up to `most` offspring in descending order.
 
-    ms[k] = Pr(offspring > base + k) (see _above and _comma_survival),
+    ms[k] = Pr(offspring > base + k) (see evolve_levels and _comma_survival),
     extended from parts when the walk passes its end; survival value s is
     the value x with ms[x - base] <= s < ms[x - base - 1]. The first
     offspring has survival value s, with s < ms[k - 1]. Each next one is the
@@ -400,7 +352,8 @@ def _descend(parts, ms, base, k, s, rr, left, most, out, floor=None):
     is uniform above the last one's. With `floor` (ascending values), the i-th
     offspring (from 0) is drawn only while it could beat floor[i]; the
     first that cannot ends the descent, since no later one can either.
-    Without it all `most` are drawn.
+    Without it all `most` are drawn. log1p and expm1 are bound once, as
+    defaults, because each drawn offspring calls them.
     """
     top = ms[k - 1]
     if s >= top:
@@ -420,7 +373,7 @@ def _descend(parts, ms, base, k, s, rr, left, most, out, floor=None):
             if base + k <= floor[i]:
                 return
             top = ms[floor[i] - base]
-        s += (1.0 - s) * -math.expm1(math.log1p(-rr()) / (left - i))
+        s += (1.0 - s) * -expm1(log1p(-rr()) / (left - i))
         if s >= top:
             if top < 1.0:
                 return
@@ -435,21 +388,23 @@ def evolve_levels(config: EaConfig, rng, fits, budget: int, k: int, thr: int,
     """Run the fitness-level chain of `config` until its k-th best fitness
     reaches thr; the iterations taken, or None when the budget ran out first.
 
-    `fits` holds the mu starting fitness values. An iteration draws only the
-    offspring that can enter the population, as descending order statistics
-    of the lambda offspring in survival space (see the module docstring), so
-    it costs O(mu + levels * support) whatever lambda is. Under plus and
-    fairplus selection the idle iterations before the next change are
-    skipped in one draw. `changes`, when given, gets the change points of
-    the run (see RunResult): (0, best, count) for the start, then
-    (t, best, count) after each iteration t that changes best or count.
+    `fits` holds the mu starting fitness values. Each iteration builds its
+    offspring groups (parts, ms, base, c, lg): c offspring whose parent is
+    drawn from the mixture of the levels `parts`, ms[k] = Pr(offspring >
+    base + k) for base + k >= w, extended by _descend on demand, and lg =
+    log Pr(none of the c beats w), where w is the value an offspring must
+    beat to enter the population. Every variant then takes the same step
+    (see the module docstring), which costs O(mu + levels * support)
+    whatever lambda is. `changes`, when given, gets the change points of the
+    run (see RunResult): (0, best, count) for the start, then (t, best,
+    count) after each iteration t that changes best or count.
     """
-    n, mu, lam = config.n, config.mu, config.lam
+    n, mu, lam, p = config.n, config.mu, config.lam, config.p
     comma = config.variant is Variant.COMMA
     fair = config.variant is Variant.FAIRPLUS
-    tables = _tables(n, config.p)
+    tables = _tables(n, p)
     rr = rng.random
-    log1p, expm1 = math.log1p, math.expm1
+    log1p, expm1, inf = math.log1p, math.expm1, math.inf
     kth = mu - k
     fits = sorted(fits)
     if changes is not None:
@@ -459,66 +414,61 @@ def evolve_levels(config: EaConfig, rng, fits, budget: int, k: int, thr: int,
     while fits[kth] < thr:
         if t >= budget:
             return None
-        offs = []
+        # the groups, log_idle = the sum of their lg, and the floor: the
+        # sorted members, the i-th of which a group's i-th best offspring
+        # must beat to displace one. Comma: one group of lam with w just
+        # below the support, and no floor. Plus: one group of lam with w the
+        # worst member; fairplus: one group of c_g per level g. A group that
+        # cannot beat w is left out.
         if comma:
-            # the best mu of lam offspring
-            parts, ms, base = _comma_survival(n, config.p, tuple(fits))
-            s = -expm1(log1p(-rr()) / lam)
-            _descend(parts, ms, base, 1, s, rr, lam, mu, offs)
-            offs.reverse()
-            fits = offs
+            parts, ms, w = _comma_survival(n, p, tuple(fits))
+            groups = [(parts, ms, w, lam, -inf)]
+            log_idle = -inf
+            floor = None
         else:
-            parts = _parts(tables, fits)
             w = fits[0]
-            if fair:
-                # level g has its own c_g offspring; per level: part, its
-                # survival ms from base, u = Pr(> w), lg = log Pr(none > w)
-                levels = []
-                log_idle = 0.0
-                for part in parts:
-                    ms, base = _above([part], w)
-                    u = ms[w - base]
-                    lg = part[0] * log1p(-u) if u < 1.0 else -math.inf
-                    levels.append((part, ms, base, u, lg))
+            groups = []
+            log_idle = 0.0
+            floor = fits
+            parts = _parts(tables, fits)
+            for mix, c in [([part], part[0]) for part in parts] if fair else ((parts, lam),):
+                _, lo, sur, size = mix[0]
+                if len(mix) == 1 and lo <= w < lo + size:
+                    ms, base = sur, lo      # one level whose table covers w: read as is
+                else:
+                    ms, base = [_mixture(mix, w)], w
+                u = ms[w - base]
+                if u > 0.0:
+                    lg = c * log1p(-u) if u < 1.0 else -inf
+                    groups.append((mix, ms, base, c, lg))
                     log_idle += lg
-            else:
-                ms, base = _above(parts, w)
-                q = ms[w - base]
-                log_idle = lam * log1p(-q) if q < 1.0 else -math.inf
+        if log_idle > -inf:
             # the idle iterations, each one with probability exp(log_idle)
-            x = log1p(-rr()) / log_idle if log_idle < 0.0 else math.inf
+            x = log1p(-rr()) / log_idle if log_idle < 0.0 else inf
             if x >= 1.0:
                 t += budget - t if x >= budget - t else int(x)
                 if t >= budget:
                     return None
-            change = -expm1(log_idle)     # Pr(some offspring beats w)
-            if fair:
-                # the first level with a beater, by inverting Pr(a beater
-                # among the levels up to g) = 1 - exp(sum of their lg);
-                # the levels after it draw unconditionally
-                pick = rr() * change
-                acc = 0.0
-                found = False
-                for part, ms, base, u, lg in levels:
-                    c = part[0]
-                    if found:
-                        s = -expm1(log1p(-rr()) / c) if u > 0.0 else 1.0
-                        if s >= u:
-                            continue
-                    else:
-                        acc += lg
-                        if -expm1(acc) <= pick:
-                            continue
-                        found = True
-                        s = -expm1(log1p(-rr() * -expm1(lg)) / c)
-                    _descend([part], ms, base, w + 1 - base, s, rr, c, c, offs, [w] * c)
+        # r = log U for a uniform U conditioned on a beater in some group. A
+        # group has one iff lg < r, and then its best offspring has survival
+        # value -expm1(r / c); while none has, r - lg is again such a log
+        # uniform for the groups left. After a group with a beater, the next
+        # group draws a fresh r.
+        r = log1p(-rr() * -expm1(log_idle))
+        offs = []
+        for mix, ms, base, c, lg in groups:
+            if r is None:
+                r = log1p(-rr())
+            if lg < r:
+                _descend(mix, ms, base, w + 1 - base, -expm1(r / c), rr, c,
+                         c if c < mu else mu, offs, floor)
+                r = None
             else:
-                s = -expm1(log1p(-rr() * change) / lam)
-                _descend(parts, ms, base, w + 1 - base, s, rr, lam, min(mu, lam),
-                         offs, fits)
-            offs += fits
-            offs.sort()
-            fits = offs[-mu:]
+                r -= lg
+        if floor is not None:
+            offs += floor
+        offs.sort()
+        fits = offs[-mu:]
         t += 1
         if changes is not None:
             best = fits[-1]
@@ -556,7 +506,7 @@ def run(config: EaConfig, f, rng=None) -> RunResult:
     if rng is None:
         rng = random.Random(config.seed)
     budget = resolve_budget(config)
-    fits = [f.value(rng.getrandbits(config.n)) for _ in range(mu)]
+    fits = [f.value(random_mask(rng, config.n)) for _ in range(mu)]
     changes = []
     t = evolve_levels(config, rng, fits, budget, 1, f.opt_threshold, changes)
     if t is None:
@@ -637,7 +587,7 @@ class EvolutionState:
         self.rng = rng if rng is not None else random.Random(config.seed)
         n, mu = config.n, config.mu
         if initial_masks is None:
-            self.masks = [self.rng.getrandbits(n) for _ in range(mu)]
+            self.masks = [random_mask(self.rng, n) for _ in range(mu)]
         else:
             masks = list(initial_masks)
             if len(masks) != mu:

@@ -33,6 +33,14 @@ def check_count(name: str, value) -> None:
 RANDOM_BITS_MAX = 2 ** 31 - 1
 
 
+def random_mask(rng, n: int) -> int:
+    """A uniform n-bit mask, n >= 1; ConfigError past RANDOM_BITS_MAX bits."""
+    if n > RANDOM_BITS_MAX:
+        raise ConfigError(f"a random string needs n <= {RANDOM_BITS_MAX}, "
+                          "the most bits random.getrandbits draws")
+    return rng.getrandbits(n)
+
+
 @dataclass(frozen=True)
 class BitString:
     """Fixed-length sequence of n binary values.
@@ -74,10 +82,7 @@ class BitString:
 
     @classmethod
     def random(cls, n: int, rng) -> "BitString":
-        if n > RANDOM_BITS_MAX:
-            raise ConfigError(f"a random string needs n <= {RANDOM_BITS_MAX}, "
-                              "the most bits random.getrandbits draws")
-        return cls(n, rng.getrandbits(n) if n > 0 else 0)   # n < 1 fails in __post_init__
+        return cls(n, random_mask(rng, n) if n > 0 else 0)   # n < 1 fails in __post_init__
 
     def popcount(self) -> int:
         return self.mask.bit_count()

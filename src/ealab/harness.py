@@ -145,8 +145,8 @@ def run_cell(config: EaConfig, f, replicates: int,
 
 def sweep(spec: SweepSpec, workers: int | None = None) -> ExperimentTable:
     """Run the whole grid. A cell whose configuration is invalid (say comma
-    selection with lambda < mu) becomes an error row; it never aborts the
-    sweep."""
+    selection with lambda < mu) or cannot be run (say n past the bits of a
+    random start) becomes an error row; it never aborts the sweep."""
     rows = []
     for idx, (n, mu, lam) in enumerate(spec.cells()):
         try:
@@ -154,11 +154,10 @@ def sweep(spec: SweepSpec, workers: int | None = None) -> ExperimentTable:
             budget = iteration_budget(spec.budget_mult, n, mu, lam)
             config = EaConfig(n, mu, lam, spec.variant, spec.c, budget,
                               mix64(spec.seed, idx))
+            rows.append(run_cell(config, f, spec.replicates, workers))
         except ConfigError as exc:
             rows.append(_error_row(n, mu, lam, spec.variant,
                                    spec.replicates, str(exc)))
-            continue
-        rows.append(run_cell(config, f, spec.replicates, workers))
     return ExperimentTable(tuple(rows))
 
 

@@ -155,9 +155,9 @@ def q_opt_bound(t: int, n: int, mu: int, lam: int) -> QOptBound:
         else:
             log_p = (n / 4.0) * (math.log(ell) - math.log(n - 1))
         log_terms.append(log_mu + log_comb + ell * log_ratio + log_p)
-    if not log_terms:
+    m = max(log_terms, default=-math.inf)
+    if m == -math.inf:      # no term, or every p_opt underflows log space (n >~ 10^307)
         return QOptBound(0.0, 0.0)
-    m = max(log_terms)
     if m > _LOG_FLOAT_MAX:
         return QOptBound(math.inf, 1.0)
     raw = math.exp(m) * math.fsum(math.exp(x - m) for x in log_terms)

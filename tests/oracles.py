@@ -16,7 +16,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
-from ealab.engines import EvolutionState, RunResult, resolve_budget
+from ealab.engines import EvolutionState, RunResult, Variant, resolve_budget
 from ealab.genotype import ConfigError
 from ealab.rng import mix64
 
@@ -229,26 +229,31 @@ def _offspring_cdfs(n: int, p: float) -> list:
 _CDFS = {}
 
 
-def per_offspring_levels(n: int, mu: int, lam: int, comma: bool, rng, fits) -> int:
+def per_offspring_levels(n: int, mu: int, lam: int, variant, rng, fits) -> int:
     """Iterations until the count-of-ones population first holds the
     optimum, stepping the fitness-level chain one offspring at a time.
 
-    Every iteration draws all lam offspring: a parent chosen uniformly from
-    the mu members, then the offspring's popcount by inversion of that
-    parent's transition cdf. Plus-selection keeps the best mu of parents and
-    offspring, comma-selection the best mu of the offspring.
+    Every iteration draws all lam offspring: each one's parent, then its
+    popcount by inversion of that parent's transition cdf. Under plus and
+    comma selection the parent is chosen uniformly from the mu members;
+    under fair-parent selection offspring k's parent is member k.
+    Comma-selection keeps the best mu of the offspring, the other two the
+    best mu of parents and offspring.
     """
     key = (n, 1.0 / n)
     if key not in _CDFS:
         _CDFS[key] = _offspring_cdfs(n, 1.0 / n)
     cdfs = _CDFS[key]
     rr = rng.random
+    comma = variant is Variant.COMMA
+    fair = variant is Variant.FAIRPLUS
     fits = sorted(fits)
     t = 0
     while fits[-1] < n:
         offs = []
-        for _ in range(lam):
-            offs.append(bisect_right(cdfs[fits[int(rr() * mu)]], rr()))
+        for k in range(lam):
+            parent = fits[k] if fair else fits[int(rr() * mu)]
+            offs.append(bisect_right(cdfs[parent], rr()))
         pool = offs if comma else offs + fits
         pool.sort()
         fits = pool[-mu:]

@@ -184,6 +184,8 @@ class TestFloatRange:
     HUGE = "1" + "0" * 400    # past the float range
     EDGE = "1" + "0" * 308    # within it, near its top
     N_PAST = "error: n must lie within the float range\n"
+    BITS_PAST = ("error: a random string needs n <= 2147483647, "
+                 "the most bits random.getrandbits draws\n")
 
     @pytest.mark.parametrize("argv,code,err", [
         (("ea0", "--n", "20", "--mu", EDGE, "--lambda", "1", "--j1", "1", "--j2", "2"), 2,
@@ -200,15 +202,29 @@ class TestFloatRange:
         # string is drawn
         (("tree", "--t", "3", "--n", EDGE, "--ell", "1", "--samples", "1"), 0, ""),
         (("takeover", "--n", HUGE, "--mu", "2", "--lambda", "2"), 2, N_PAST),
+        # a random start of n bits needs n <= 2^31 - 1; a sweep makes that
+        # cell an error row
+        (("run", "--n", "2147483648", "--max-iterations", "1", "--replicates", "1"), 2,
+         BITS_PAST),
+        (("dominance", "--n", "2147483648"), 2, BITS_PAST),
+        (("sweep", "--n", "10,2147483648"), 0, ""),
         # the count moves with probability about 4e-201 per iteration: the
         # idle iterations are skipped in one draw, not stepped
         (("ea0", "--n", "20", "--mu", "1" + "0" * 200, "--lambda", "1", "--j1", "1",
           "--j2", "2", "--replicates", "1"), 0, ""),
     ], ids=["ea0-cap", "ea0-e-mu", "ea0-n", "tree-n", "tree-samples",
-            "tree-random-string", "takeover-n", "ea0-tiny-ratio"])
+            "tree-random-string", "takeover-n", "run-bits", "dominance-bits",
+            "sweep-bits", "ea0-tiny-ratio"])
     def test_exits_cleanly(self, tmp_path, capsys, argv, code, err):
         assert _run(tmp_path, *argv)[0] == code
         assert capsys.readouterr().err == err
+
+    def test_tree_bound_vanishes_near_the_top(self, tmp_path):
+        # every log p_opt term underflows: the union bound is 0, not nan
+        code, data = _run(tmp_path, "tree", "--t", "3", "--n", self.EDGE, "--ell", "1")
+        rec = _strict_json(data)
+        assert code == 0
+        assert (rec["p_opt"], rec["q_opt_raw"], rec["q_opt"]) == (0.0, 0.0, 0.0)
 
 
 class TestStrictJson:

@@ -196,7 +196,7 @@ class TestChangePoints:
     def test_pool_returns_what_one_worker_does(self, monkeypatch):
         # the real fork pool: the first two replicates pass POOL_AFTER_S, so
         # the other 14 go to two forked workers
-        cfg = EaConfig(40, 2, 3, seed=44, max_iterations=60)
+        cfg = EaConfig(40, 2, 3, seed=44, max_iterations=116)
         f = OneMax(40)
         serial = run_batch(cfg, f, 16, workers=1)
         starts = _forking_pool(monkeypatch, 2)
@@ -642,17 +642,18 @@ class TestLumpedEngine:
         expected = oracles.one_plus_lambda_expected_iterations(n, lam)
         assert abs(sum(ts) / reps - expected) <= 4 * se
 
-    @pytest.mark.parametrize("variant", [Variant.PLUS, Variant.COMMA])
+    @pytest.mark.parametrize("variant", [Variant.PLUS, Variant.COMMA, Variant.FAIRPLUS])
     def test_matches_per_offspring_loop(self, variant):
-        # every one of the lambda offspring drawn, against the order statistics
-        n, mu, lam, reps = 64, 8, 4096, 100
+        # every one of the lambda offspring drawn, against the order statistics;
+        # fairplus draws one offspring per member, over one group per level
+        n, reps = 64, 100
+        mu, lam = (32, 32) if variant is Variant.FAIRPLUS else (8, 4096)
         lumped = _times(run_batch(EaConfig(n, mu, lam, variant, seed=28), OneMax(n), reps))
         reference = []
         for r in range(reps):
             rng = random.Random(mix64(29, r))
             fits = [oracles.popcount_slow(rng.getrandbits(n)) for _ in range(mu)]
-            reference.append(oracles.per_offspring_levels(
-                n, mu, lam, variant is Variant.COMMA, rng, fits))
+            reference.append(oracles.per_offspring_levels(n, mu, lam, variant, rng, fits))
         assert len(lumped) == reps
         assert _agree(lumped, reference)
 

@@ -1,6 +1,7 @@
 """The package surface: every name `ealab.__all__` lists resolves, no
 module imports a name it never reads, each input rule is checked in one
-place, and each command-line flag is declared once."""
+place, each command-line flag is declared once, and the fitness-level
+chain draws its offspring from one place."""
 
 import ast
 import re
@@ -106,3 +107,12 @@ def test_each_cli_flag_declared_once():
                  and getattr(node.targets[0], "id", None) == "_FLAGS")
     names = Counter(key.value for key in table.keys)
     assert {name: k for name, k in names.items() if k > 1} == {}
+
+
+def test_one_descent_call_site():
+    # plus, comma and fairplus take one step: every group of offspring is
+    # drawn by the same _descend call
+    sites = [f"{module}:{node.lineno}" for module, tree in _trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_descend"]
+    assert len(sites) == 1, sites

@@ -199,6 +199,13 @@ class TestQOpt:
         b = q_opt_bound(t, 8, 1, lam)
         assert (b.raw, b.clamped) == (math.inf, 1.0)
 
+    @pytest.mark.parametrize("n", [10 ** 306, 10 ** 307], ids=["1e306", "1e307"])
+    def test_vanishes_at_huge_n(self, n):
+        # at 10^307 every log term is -inf; at 10^306 each is finite but
+        # its exp underflows
+        b = q_opt_bound(3, n, 1, 1)
+        assert (b.raw, b.clamped) == (0.0, 0.0)
+
     def test_equal_counts_direct_sum(self):
         t, n, mu = 5, 8, 3
         direct = mu * sum(math.comb(t, ell) * p_opt(ell, n)
