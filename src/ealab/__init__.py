@@ -6,8 +6,7 @@ from .bounds import (BoundReport, FAST_REGIME, PhaseParams, ea0_growth_lb,
                      level_bound_fast, level_bound_general, log_plus,
                      master_bound, min_level_bound_general, phase_params,
                      sudholt_bound, takeover_bound_fast, takeover_bound_general)
-from .engines import (EaConfig, EvolutionState, RunResult, Variant,
-                      resolve_budget, run, run_batch)
+from .engines import EaConfig, EvolutionState, RunResult, Variant, run, run_batch
 from .genotype import (BitString, ConfigError, MultiOptOneMax, OneMax,
                        UniqueOptGeneric, make_fitness)
 from .harness import (CSV_COLUMNS, DominanceReport, ExperimentRow,
@@ -35,7 +34,7 @@ __all__ = [
     "level_bound_general", "log_plus", "make_fitness", "master_bound",
     "measure_level_time", "measure_takeover", "min_level_bound_general",
     "mix64", "p_opt", "parse_table", "phase_params", "q_opt_bound",
-    "resolve_budget", "run", "run_batch", "run_cell", "run_ea0",
+    "run", "run_batch", "run_cell", "run_ea0",
     "simulate_family_tree", "sudholt_bound", "summarize", "summarize_runs",
     "sweep", "takeover_bound_fast", "takeover_bound_general", "total_nodes",
     "verify_p_opt",

@@ -66,7 +66,7 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from time import perf_counter
 
@@ -115,6 +115,14 @@ class EaConfig:
     def p(self) -> float:
         return self.c / self.n
 
+    @cached_property
+    def budget(self) -> int:
+        """The iteration budget: max_iterations if given, else ten master
+        bounds (DEFAULT_BUDGET_MULT), rounded up. Resolved on first read and
+        kept, so a batch derives it once; building a config never does."""
+        return iteration_budget(DEFAULT_BUDGET_MULT, self.n, self.mu, self.lam,
+                                self.max_iterations)
+
     def __post_init__(self):
         self.validate()
 
@@ -137,28 +145,23 @@ class EaConfig:
             raise ConfigError("seed must be an integer")
 
 
-def check_budget_mult(mult: float) -> float:
-    """mult itself; ConfigError unless it is a finite number above 0."""
+def check_budget_mult(mult: float) -> None:
+    """ConfigError unless mult is a finite number above 0."""
     if not (math.isfinite(mult) and mult > 0.0):
         raise ConfigError(f"budget multiplier must be finite and > 0, got {mult}")
-    return mult
 
 
 def iteration_budget(mult: float, n: int, mu: int, lam: int,
                      max_iterations: int | None = None) -> int:
-    """The budget rule: max_iterations if given, else ceil(mult * master-bound total)."""
+    """The budget rule: max_iterations if given, else ceil(mult * master-bound
+    total). mult is checked either way."""
+    check_budget_mult(mult)
     if max_iterations is not None:
         return max_iterations
-    budget = check_budget_mult(mult) * master_bound(n, mu, lam).total
+    budget = mult * master_bound(n, mu, lam).total
     if not math.isfinite(budget):
         raise ConfigError(f"budget multiplier {mult} gives an infinite budget")
     return math.ceil(budget)
-
-
-def resolve_budget(config: EaConfig) -> int:
-    """Iteration budget: explicit max_iterations, else 10x the master bound."""
-    return iteration_budget(DEFAULT_BUDGET_MULT, config.n, config.mu, config.lam,
-                            config.max_iterations)
 
 
 @dataclass(frozen=True)
@@ -383,10 +386,11 @@ def _descend(parts, ms, base, k, s, rr, left, most, out, floor=None,
         out.append(base + k)
 
 
-def evolve_levels(config: EaConfig, rng, fits, budget: int, k: int, thr: int,
+def evolve_levels(config: EaConfig, rng, fits, k: int, thr: int,
                   changes: list | None = None):
     """Run the fitness-level chain of `config` until its k-th best fitness
-    reaches thr; the iterations taken, or None when the budget ran out first.
+    reaches thr; the iterations taken, or None when config.budget ran out
+    first.
 
     `fits` holds the mu starting fitness values. Each iteration builds its
     offspring groups (parts, ms, base, c, lg): c offspring whose parent is
@@ -402,6 +406,7 @@ def evolve_levels(config: EaConfig, rng, fits, budget: int, k: int, thr: int,
     n, mu, lam, p = config.n, config.mu, config.lam, config.p
     comma = config.variant is Variant.COMMA
     fair = config.variant is Variant.FAIRPLUS
+    budget = config.budget
     tables = _tables(n, p)
     rr = rng.random
     log1p, expm1, inf = math.log1p, math.expm1, math.inf
@@ -505,10 +510,10 @@ def run(config: EaConfig, f, rng=None) -> RunResult:
     mu, lam = config.mu, config.lam
     if rng is None:
         rng = random.Random(config.seed)
-    budget = resolve_budget(config)
+    budget = config.budget
     fits = [f.value(random_mask(rng, config.n)) for _ in range(mu)]
     changes = []
-    t = evolve_levels(config, rng, fits, budget, 1, f.opt_threshold, changes)
+    t = evolve_levels(config, rng, fits, 1, f.opt_threshold, changes)
     if t is None:
         return RunResult(None, mu + lam * budget, budget, tuple(changes), False)
     return RunResult(t, mu + lam * t, t, tuple(changes), True)

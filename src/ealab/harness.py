@@ -99,10 +99,6 @@ class ExperimentTable:
     def __len__(self):
         return len(self.rows)
 
-    def completed_samples(self) -> int:
-        return sum(r.replicates - r.exhausted for r in self.rows
-                   if r.error is None)
-
 
 def _skew_warned(mean: float, q10: float, q90: float) -> bool:
     return math.isfinite(mean) and not (q10 <= mean <= q90)

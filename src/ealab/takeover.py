@@ -26,8 +26,7 @@ import sys
 from dataclasses import dataclass
 
 from .bounds import _ratio, check_fit_counts, check_level, check_n, takeover_bound_general
-from .engines import (EaConfig, EvolutionState, Variant, check_fitness,
-                      evolve_levels, resolve_budget)
+from .engines import EaConfig, EvolutionState, Variant, check_fitness, evolve_levels
 from .genotype import ConfigError, OneMax, check_count
 from .rng import binomial_draw, mix64
 from .stats import SampleStats, summarize
@@ -112,11 +111,10 @@ def measure_takeover(spec: TakeoverSpec) -> SampleStats:
     marked member is gone, since no later step can bring the marker back; it
     counts as exhausted, as a capped run would.
     """
-    cap = _takeover_cap(spec)
-    config = EaConfig(spec.n, spec.mu, spec.lam, Variant.PLUS, spec.c)
+    config = EaConfig(spec.n, spec.mu, spec.lam, Variant.PLUS, spec.c,
+                      max_iterations=_takeover_cap(spec))
     once = _takeover_once_marked if spec.i == 0 else _takeover_once
-    return _replicates(spec.seed, spec.replicates,
-                       lambda rng: once(rng, spec, config, cap))
+    return _replicates(spec.seed, spec.replicates, lambda rng: once(rng, spec, config))
 
 
 def _replicates(seed, replicates, once) -> SampleStats:
@@ -132,17 +130,18 @@ def _replicates(seed, replicates, once) -> SampleStats:
     return summarize(samples, exhausted)
 
 
-def _takeover_once(rng, spec, config, cap):
+def _takeover_once(rng, spec, config):
     # i >= 1: j1 members at fitness i, the fillers at i - 1
     fits = [spec.i] * spec.j1 + [spec.i - 1] * (spec.mu - spec.j1)
-    return evolve_levels(config, rng, fits, cap, spec.j2, spec.i)
+    return evolve_levels(config, rng, fits, spec.j2, spec.i)
 
 
-def _takeover_once_marked(rng, spec, config, cap):
+def _takeover_once_marked(rng, spec, config):
     # i = 0: offspring inherit the parent's marker, survivors keep theirs
     mu, j2 = spec.mu, spec.j2
     es = EvolutionState(config, OneMax(spec.n), rng=rng, initial_masks=[0] * mu)
     flags = [True] * spec.j1 + [False] * (mu - spec.j1)
+    cap = config.budget
     t = 0
     while t < cap:
         es.step()
@@ -223,7 +222,6 @@ def measure_level_time(config: EaConfig, f, i: int, replicates: int) -> SampleSt
     check_fitness(config, f)
     check_level(config.n, i)
     check_count("replicates", replicates)
-    cap = resolve_budget(config)
     initial = [i] + [max(i - 1, 0)] * (config.mu - 1)
     return _replicates(config.seed, replicates, lambda rng: evolve_levels(
-        config, rng, initial, cap, 1, i + 1))
+        config, rng, initial, 1, i + 1))

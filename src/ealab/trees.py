@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .bounds import check_n
-from .engines import EaConfig, EvolutionState, resolve_budget
+from .engines import EaConfig, EvolutionState
 from .genotype import BitString, ConfigError, check_count
 # unused here: bench/tracer.py patches trees.mutate_mask by name (ROADMAP item 7)
 from .genotype import mutate_mask
@@ -177,9 +177,6 @@ class FamilyTreeResult:
     depth_counts: tuple
     hit_optimum: bool
 
-    def max_depths(self):
-        return [max(c) for c in self.depth_counts]
-
 
 def simulate_family_tree(config: EaConfig, f) -> FamilyTreeResult:
     """Instrument a real run, tracking depth counters on individuals rather
@@ -188,7 +185,7 @@ def simulate_family_tree(config: EaConfig, f) -> FamilyTreeResult:
     mu = config.mu
     depths = [0] * mu
     records = [dict(Counter(depths))]
-    budget = resolve_budget(config)
+    budget = config.budget
     thr = f.opt_threshold
     hit = es.best_fitness >= thr
     t = 0

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
-from ealab.engines import EvolutionState, RunResult, Variant, resolve_budget
+from ealab.engines import EvolutionState, RunResult, Variant
 from ealab.genotype import ConfigError
 from ealab.rng import mix64
 
@@ -269,7 +269,7 @@ def genotype_batch(config, f, replicates: int) -> list:
     seed run_batch gives it, under run's budget and stopping rule, and
     records change points by RunResult's rule.
     """
-    budget = resolve_budget(config)
+    budget = config.budget
     results = []
     for r in range(replicates):
         es = EvolutionState(config, f, rng=random.Random(mix64(config.seed, r)))

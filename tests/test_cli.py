@@ -125,7 +125,9 @@ class TestBudgetAndCaps:
     @pytest.mark.parametrize("argv", [
         ("run", "--n", "10"),
         ("sweep", "--n", "10,12", "--replicates", "2"),
-    ], ids=["run", "sweep"])
+        # checked even where max_iterations replaces the budget
+        ("run", "--n", "20", "--max-iterations", "5"),
+    ], ids=["run", "sweep", "run-capped"])
     def test_bad_budget_mult_exits_validation(self, tmp_path, capsys, argv, mult):
         code, data = _run(tmp_path, *argv, "--budget-mult", mult)
         assert code == 2 and data == b""
@@ -549,6 +551,13 @@ class TestMeasurementCommands:
         assert rec["completed"] == 50
         assert rec["mean"] >= 1.0
         assert "bound_general" in rec
+
+    def test_takeover_never_derives_a_run_budget(self, tmp_path):
+        # a run budget at this n is infinite, but takeover uses its own cap
+        code, data = _run(tmp_path, "takeover", "--n", "1" + "0" * 306, "--mu", "2",
+                          "--lambda", "2", "--replicates", "2")
+        assert code == 0
+        assert json.loads(data)["completed"] == 2
 
     def test_marker_takeover_caps_lambda(self, tmp_path, capsys):
         # i = 0 builds every offspring; i >= 1 runs on the fitness levels

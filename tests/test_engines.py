@@ -3,7 +3,7 @@
 import math
 import pickle
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from ealab import (BitString, ConfigError, EaConfig, EvolutionState,
                    MultiOptOneMax, OneMax, TakeoverSpec,
                    UniqueOptGeneric, Variant, compare_dominance,
-                   measure_level_time, measure_takeover, mix64,
-                   resolve_budget, run, run_batch)
+                   measure_level_time, measure_takeover, mix64, run,
+                   run_batch)
 from ealab import engines
 from ealab.engines import _level_table, evolve_levels
 
@@ -53,9 +53,28 @@ class TestConfigValidation:
         assert EaConfig(20, 1, 1, c=2.0).p == 0.1
 
     def test_budget_resolution(self):
-        assert resolve_budget(EaConfig(10, 1, 1, max_iterations=7)) == 7
-        auto = resolve_budget(EaConfig(10, 1, 1))
+        assert EaConfig(10, 1, 1, max_iterations=7).budget == 7
+        auto = EaConfig(10, 1, 1).budget
         assert auto >= 10  # ten times a positive bound total
+
+    def test_batch_derives_its_budget_once(self, monkeypatch):
+        calls = []
+        master_bound = engines.master_bound
+
+        def counting(*args):
+            calls.append(args)
+            return master_bound(*args)
+
+        monkeypatch.setattr(engines, "master_bound", counting)
+        run_batch(EaConfig(20, 1, 1), OneMax(20), 50)
+        assert calls == [(20, 1, 1)]
+
+    def test_budget_is_derived_on_first_read(self):
+        config = EaConfig(10 ** 306, 1, 1)      # building it derives nothing
+        with pytest.raises(ConfigError, match="infinite budget"):
+            config.budget
+        assert EaConfig(10 ** 306, 1, 1, max_iterations=3).budget == 3
+        assert "budget" not in [f.name for f in fields(EaConfig)]
 
 
 class TestRunBasics:
@@ -595,12 +614,12 @@ class TestLumpedEngine:
         # 1 - F(m)^lam and the new best has the law of the best of lam
         # offspring given that it exceeds m (F: one offspring's cdf)
         reps = 20000
-        cfg = EaConfig(n, mu, lam)
+        cfg = EaConfig(n, mu, lam, max_iterations=10 ** 9)
         rng = random.Random(seed)
         waits, bests = [], []
         for _ in range(reps):
             changes = []
-            waits.append(evolve_levels(cfg, rng, [m] * mu, 10 ** 9, 1, m + 1, changes))
+            waits.append(evolve_levels(cfg, rng, [m] * mu, 1, m + 1, changes))
             bests.append(changes[-2])
         cdf, acc = [], 0.0
         for v in range(n + 1):
@@ -663,7 +682,7 @@ class TestLumpedEngine:
         n = 256
         rng = _CountingRandom(30)
         fits = [rng.getrandbits(n).bit_count() for _ in range(mu)]
-        t = evolve_levels(EaConfig(n, mu, lam), rng, fits, 10 ** 9, 1, n)
+        t = evolve_levels(EaConfig(n, mu, lam, max_iterations=10 ** 9), rng, fits, 1, n)
         assert t >= 1
         assert rng.calls <= (2 * mu + 4) * t
 

@@ -70,7 +70,8 @@ class TestSweep:
         assert bad.error is not None
         assert math.isnan(bad.mean_T)
         assert good.error is None
-        assert table.completed_samples() == 5 - good.exhausted
+        completed = sum(r.replicates - r.exhausted for r in table.rows if r.error is None)
+        assert completed == 5 - good.exhausted
 
     def test_spec_validation(self):
         # construction validates, so each bad spec is built inside the block

@@ -255,7 +255,7 @@ class TestFamilyTree:
     def test_depth_cannot_exceed_iteration(self):
         cfg = EaConfig(30, 4, 6, seed=9, max_iterations=50)
         res = simulate_family_tree(cfg, OneMax(30))
-        for k, depth in enumerate(res.max_depths()):
+        for k, depth in enumerate(max(c) for c in res.depth_counts):
             assert depth <= k
 
     def test_population_fits_inside_complete_trees(self):
